@@ -242,10 +242,13 @@ pub struct DiffEngine {
     /// Called after every chunk (post-save when checkpointing) — the
     /// shard worker's heartbeat source.
     pub progress: Option<ProgressHook>,
-    /// The multiplexed-transport testbed, spawned on first use and shared
-    /// by every worker thread for the engine's lifetime (the reactor
-    /// multiplexes all of their cases over one event loop).
-    async_testbed: std::sync::OnceLock<Result<hdiff_net::AsyncTestbed, hdiff_net::NetError>>,
+    /// The multiplexed-transport testbeds: each case checks out an idle
+    /// one, so there is one shard (and one event loop) per concurrent
+    /// worker thread, spawned on first use and kept for the engine's
+    /// lifetime. A spawn failure (unsupported platform, exhausted fds)
+    /// is cached and surfaces as a per-case net error, same as a
+    /// blocking testbed failure.
+    async_testbeds: hdiff_net::TestbedPool,
 }
 
 impl DiffEngine {
@@ -266,6 +269,7 @@ impl DiffEngine {
     }
 
     fn with_workflow(workflow: Workflow, profiles: Vec<ParserProfile>) -> DiffEngine {
+        let async_testbeds = hdiff_net::TestbedPool::new(workflow.backends(), workflow.proxies());
         DiffEngine {
             workflow,
             profiles,
@@ -280,21 +284,8 @@ impl DiffEngine {
             transport: Transport::Sim,
             base_telemetry: hdiff_obs::Telemetry::default(),
             progress: None,
-            async_testbed: std::sync::OnceLock::new(),
+            async_testbeds,
         }
-    }
-
-    /// The shared multiplexed-transport testbed, spawning it on first
-    /// use. A spawn failure (unsupported platform, exhausted fds) is
-    /// cached and surfaces as a per-case net error, same as a blocking
-    /// testbed failure.
-    fn async_testbed(&self) -> Result<&hdiff_net::AsyncTestbed, hdiff_net::NetError> {
-        self.async_testbed
-            .get_or_init(|| {
-                hdiff_net::AsyncTestbed::new(self.workflow.backends(), self.workflow.proxies())
-            })
-            .as_ref()
-            .map_err(Clone::clone)
     }
 
     /// The workflow in use.
@@ -441,8 +432,8 @@ impl DiffEngine {
                     let outcome = match self.transport {
                         Transport::Sim => Ok(self.workflow.run_case_faulted(case, Some(&session))),
                         Transport::Tcp => try_run_case_tcp(&self.workflow, case, Some(&session)),
-                        Transport::TcpAsync => self.async_testbed().and_then(|testbed| {
-                            try_run_case_tcp_async(&self.workflow, case, Some(&session), testbed)
+                        Transport::TcpAsync => self.async_testbeds.checkout().and_then(|testbed| {
+                            try_run_case_tcp_async(&self.workflow, case, Some(&session), &testbed)
                         }),
                     };
                     let rtt = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -707,6 +698,26 @@ mod tests {
         assert_eq!(sim.verdicts, wire.verdicts);
         assert_eq!(wire.transport, Transport::TcpAsync);
         assert_eq!(wire.errors, 0);
+    }
+
+    #[test]
+    fn tcp_async_shards_agree_across_thread_counts() {
+        // Every worker runs its cases on its own testbed shard; which
+        // shard a case lands on must never show in the summary.
+        let cases = catalog_cases();
+        let sim = DiffEngine::standard().run(&cases);
+        for threads in [1, 2, 4] {
+            let mut engine = DiffEngine::standard();
+            engine.transport = Transport::TcpAsync;
+            engine.threads = threads;
+            let wire = engine.run(&cases);
+            assert_eq!(wire.errors, 0, "threads {threads}");
+            assert_eq!(sim.findings, wire.findings, "threads {threads}");
+            assert_eq!(sim.pairs, wire.pairs, "threads {threads}");
+            assert_eq!(sim.verdicts, wire.verdicts, "threads {threads}");
+            let shards = engine.async_testbeds.spawned();
+            assert!((1..=threads).contains(&shards), "{shards} testbeds for {threads} workers");
+        }
     }
 
     #[test]

@@ -44,11 +44,11 @@ use std::time::Duration;
 
 use hdiff_gen::{AttackClass, TestCase};
 use hdiff_net::{
-    compare_attribution, AsyncTestbed, ExchangeOutput, NetEcho, NetProxy, NetProxyConfig,
-    NetServer, NetServerConfig, SendMode, ServerFault, WireClient,
+    compare_attribution, AsyncTestbed, ExchangeOutput, JobOutput, NetEcho, NetProxy,
+    NetProxyConfig, NetServer, NetServerConfig, SendMode, ServerFault, WireClient,
 };
 use hdiff_servers::fault::{FaultKind, FaultSession, FaultStage};
-use hdiff_servers::{ParserProfile, Proxy, ServerReply, ORIGIN_HOP};
+use hdiff_servers::{ParserProfile, Proxy, ProxyResult, ServerReply, ORIGIN_HOP};
 
 use crate::findings::Finding;
 use crate::hmetrics::HMetrics;
@@ -65,9 +65,9 @@ pub enum Transport {
     Sim,
     /// Real loopback TCP, blocking: fresh listeners (threads) per case.
     Tcp,
-    /// Real loopback TCP, multiplexed: every hop lives in one
-    /// [`AsyncTestbed`] event loop; a case fans out to all views
-    /// concurrently over pooled keep-alive connections.
+    /// Real loopback TCP, multiplexed: every hop lives in an
+    /// [`AsyncTestbed`] event loop (one per campaign worker); a case fans
+    /// out to all views concurrently over pooled keep-alive connections.
     TcpAsync,
 }
 
@@ -252,28 +252,13 @@ pub fn try_run_bytes_tcp(
             proxy_results.push(r);
         }
 
-        let mut forwarded = Vec::new();
-        let mut forwarded_count = 0usize;
-        let mut forwarded_lens = Vec::new();
-        for r in &proxy_results {
-            if let Some(f) = r.action.forwarded() {
-                forwarded.extend_from_slice(f);
-                forwarded_lens.push(f.len());
-                forwarded_count += 1;
-            }
-        }
-
-        let any_accepted = proxy_results.iter().any(|r| r.interpretation.outcome.is_accept());
-        let should_replay = forwarded_count > 0
-            && any_accepted
-            && (!workflow.replay_reduction || is_ambiguous(&bytes));
-
+        let forwarded = Forwarded::of(workflow, &proxy_results, &bytes);
         let mut replays = Vec::new();
-        if should_replay {
+        if forwarded.replay {
             let proxy_sim = Proxy::new(proxy_profile.clone());
             for (backend_profile, net) in workflow.backends().iter().zip(&backend_nets) {
                 let raw = match (net, faults.is_some_and(FaultSession::exhausted)) {
-                    (Some(server), false) => roundtrip(server, &forwarded, &SendMode::Whole),
+                    (Some(server), false) => roundtrip(server, &forwarded.bytes, &SendMode::Whole),
                     _ => Vec::new(),
                 };
                 let mut replies = Vec::new();
@@ -302,9 +287,9 @@ pub fn try_run_bytes_tcp(
         chains.push(ChainRun {
             proxy: proxy_profile.name.clone(),
             proxy_results,
-            forwarded,
-            forwarded_count,
-            forwarded_lens,
+            forwarded: forwarded.bytes,
+            forwarded_count: forwarded.count,
+            forwarded_lens: forwarded.lens,
             replays,
             relay_reaction,
         });
@@ -333,6 +318,32 @@ fn roundtrip(server: &NetServer, bytes: &[u8], mode: &SendMode) -> Vec<ServerRep
         hdiff_obs::count("net.exchange.timeout", 1);
     }
     server.take_logs().pop().map(|l| l.replies).unwrap_or_default()
+}
+
+/// A proxy's upstream stream as the sim derives it from the proxy's
+/// results: the forwarded messages concatenated, their count and
+/// lengths, and whether the chain replays the stream to the backends.
+struct Forwarded {
+    bytes: Vec<u8>,
+    count: usize,
+    lens: Vec<usize>,
+    replay: bool,
+}
+
+impl Forwarded {
+    fn of(workflow: &Workflow, results: &[ProxyResult], case_bytes: &[u8]) -> Forwarded {
+        let mut forwarded =
+            Forwarded { bytes: Vec::new(), count: 0, lens: Vec::new(), replay: false };
+        for f in results.iter().filter_map(|r| r.action.forwarded()) {
+            forwarded.bytes.extend_from_slice(f);
+            forwarded.lens.push(f.len());
+            forwarded.count += 1;
+        }
+        forwarded.replay = forwarded.count > 0
+            && results.iter().any(|r| r.interpretation.outcome.is_accept())
+            && (!workflow.replay_reduction || is_ambiguous(case_bytes));
+        forwarded
+    }
 }
 
 /// [`run_case_tcp`] over the multiplexed transport: the case fans out to
@@ -387,13 +398,13 @@ pub fn run_bytes_tcp_async(
 /// One case over the multiplexed transport.
 ///
 /// Fault-free cases (the overwhelming majority of a campaign) take the
-/// fast path: one concurrent fan-out of the case's bytes to every
-/// backend and proxy view over `testbed`'s pooled keep-alive
-/// connections, then the sim's budget/event bookkeeping replayed
-/// serially in the blocking path's exact order — wherever the blocking
-/// path gates a wire operation on budget exhaustion, the pre-collected
-/// result is discarded the same way, so the [`CaseOutcome`] is
-/// field-for-field identical.
+/// fast path: two reactor round trips over `testbed`'s pooled keep-alive
+/// connections — the case's bytes to every backend and proxy view, then
+/// every proxy's forwarded stream to every backend — and then the sim's
+/// budget/event bookkeeping replayed serially in the blocking path's
+/// exact order. Wherever the blocking path gates a wire operation on
+/// budget exhaustion, the pre-collected result is discarded the same
+/// way, so the [`CaseOutcome`] is field-for-field identical.
 ///
 /// A case with any pending fault decision needs per-case listener
 /// configuration, which the persistent testbed cannot provide; those
@@ -454,15 +465,45 @@ pub fn try_run_bytes_tcp_async(
         direct.push((b.name.clone(), kept));
     }
 
+    // Wave B: every proxy's forwarded stream replays to every backend in
+    // one batch. The streams come from the full proxy logs, while the
+    // serial bookkeeping below keeps a proxy's results only until the
+    // step budget runs out. The two differ only once the budget is
+    // exhausted, and from then on the blocking path sends no replay, so
+    // every replay kept below carried exactly the blocking path's bytes.
+    let proxy_logs: Vec<Vec<ProxyResult>> = proxy_outs
+        .iter()
+        .map(|o| {
+            o.as_exchange()
+                .and_then(|e| e.proxy_log.as_ref())
+                .map(|l| l.results.clone())
+                .unwrap_or_default()
+        })
+        .collect();
+    let mut replay_jobs = Vec::new();
+    let mut replayed = Vec::with_capacity(proxy_logs.len());
+    for results in &proxy_logs {
+        let forwarded = Forwarded::of(workflow, results, &bytes);
+        if forwarded.replay {
+            for l in backend_listeners {
+                replay_jobs.push(testbed.exchange_job(l, &forwarded.bytes, SendMode::Whole));
+            }
+        }
+        replayed.push(forwarded.replay);
+    }
+    let mut replay_outs =
+        if replay_jobs.is_empty() { Vec::new() } else { testbed.run(replay_jobs) }.into_iter();
+
     // Then per proxy: message charges, then replays.
     let mut chains = Vec::new();
-    for (proxy_profile, out) in workflow.proxies().iter().zip(proxy_outs) {
-        let ex = out.as_exchange();
-        observe_async_exchange(ex);
+    for (((proxy_profile, out), full_results), replayed) in
+        workflow.proxies().iter().zip(proxy_outs).zip(proxy_logs).zip(replayed)
+    {
+        observe_async_exchange(out.as_exchange());
         let raw_results = if faults.is_some_and(FaultSession::exhausted) {
             Vec::new() // the sim's charge fails before the first message
         } else {
-            ex.and_then(|e| e.proxy_log.as_ref()).map(|l| l.results.clone()).unwrap_or_default()
+            full_results
         };
         let mut proxy_results = Vec::new();
         for r in raw_results {
@@ -481,50 +522,27 @@ pub fn try_run_bytes_tcp_async(
             proxy_results.push(r);
         }
 
-        let mut forwarded = Vec::new();
-        let mut forwarded_count = 0usize;
-        let mut forwarded_lens = Vec::new();
-        for r in &proxy_results {
-            if let Some(f) = r.action.forwarded() {
-                forwarded.extend_from_slice(f);
-                forwarded_lens.push(f.len());
-                forwarded_count += 1;
-            }
-        }
-
-        let any_accepted = proxy_results.iter().any(|r| r.interpretation.outcome.is_accept());
-        let should_replay = forwarded_count > 0
-            && any_accepted
-            && (!workflow.replay_reduction || is_ambiguous(&bytes));
-
+        let forwarded = Forwarded::of(workflow, &proxy_results, &bytes);
+        // This proxy's slice of wave B, in backend order.
+        let batched: Vec<JobOutput> = if replayed {
+            replay_outs.by_ref().take(backend_listeners.len()).collect()
+        } else {
+            Vec::new()
+        };
         let mut replays = Vec::new();
-        if should_replay {
+        if forwarded.replay {
             let proxy_sim = Proxy::new(proxy_profile.clone());
-            // Wave B for this proxy: the forwarded stream replays to
-            // every backend concurrently. The blocking path gates each
-            // backend's replay exchange on exhaustion; charges inside
-            // this very loop can exhaust the budget, so the gate is
-            // re-checked (and the collected result discarded) per
-            // backend below.
-            let replay_outs = if faults.is_some_and(FaultSession::exhausted) {
-                None
-            } else {
-                let jobs = backend_listeners
-                    .iter()
-                    .map(|l| testbed.exchange_job(l, &forwarded, SendMode::Whole))
-                    .collect();
-                Some(testbed.run(jobs))
-            };
             for (i, backend_profile) in workflow.backends().iter().enumerate() {
-                let raw = match (&replay_outs, faults.is_some_and(FaultSession::exhausted)) {
-                    (Some(outs), false) => {
-                        let ex = outs.get(i).and_then(|o| o.as_exchange());
-                        observe_async_exchange(ex);
-                        ex.and_then(|e| e.server_log.as_ref())
-                            .map(|l| l.replies.clone())
-                            .unwrap_or_default()
-                    }
-                    _ => Vec::new(),
+                // The blocking path's per-backend exhaustion gate; a
+                // dropped replay is neither kept nor observed.
+                let raw = if faults.is_some_and(FaultSession::exhausted) {
+                    Vec::new()
+                } else {
+                    let ex = batched.get(i).and_then(JobOutput::as_exchange);
+                    observe_async_exchange(ex);
+                    ex.and_then(|e| e.server_log.as_ref())
+                        .map(|l| l.replies.clone())
+                        .unwrap_or_default()
                 };
                 let mut replies = Vec::new();
                 for reply in raw {
@@ -547,9 +565,9 @@ pub fn try_run_bytes_tcp_async(
         chains.push(ChainRun {
             proxy: proxy_profile.name.clone(),
             proxy_results,
-            forwarded,
-            forwarded_count,
-            forwarded_lens,
+            forwarded: forwarded.bytes,
+            forwarded_count: forwarded.count,
+            forwarded_lens: forwarded.lens,
             replays,
             relay_reaction: None, // an origin fault would have delegated
         });
@@ -824,6 +842,50 @@ mod tests {
             assert_eq!(blocking.fault_events, multiplexed.fault_events, "uuid {uuid}");
             assert_eq!(blocking.budget_exhausted, multiplexed.budget_exhausted, "uuid {uuid}");
         }
+    }
+
+    #[test]
+    fn batched_replays_match_the_blocking_path_when_the_budget_runs_out() {
+        use hdiff_servers::fault::{FaultInjector, FaultPlan, FaultSession};
+        // Budgets from "gone before the first proxy" to "never runs out"
+        // exhaust the session at every point of a case: in the direct
+        // backends, mid-proxy, and mid-replay. The multiplexed path sends
+        // all replays in one batch yet must keep exactly what the
+        // blocking path keeps.
+        let workflow = Workflow::standard();
+        let testbed = AsyncTestbed::new(workflow.backends(), workflow.proxies()).unwrap();
+        let injector = FaultInjector::new(FaultPlan::disabled());
+        let cases: [&[u8]; 2] = [
+            b"GET / HTTP/1.1\r\nHost: h1.com\r\nHost: h2.com\r\n\r\n",
+            b"GET /a HTTP/1.1\r\nHost: h\r\n\r\nGET /b HTTP/1.1\r\nHost: h\r\n\r\n",
+        ];
+        let mut exhausted = 0;
+        for (uuid, bytes) in cases.iter().enumerate() {
+            let uuid = uuid as u64;
+            let full = run_bytes_tcp(&workflow, uuid, "seed", bytes, None);
+            assert!(full.chains.iter().any(|c| !c.replays.is_empty()), "case {uuid} never replays");
+            for budget in 1..=80 {
+                let blocking_session = FaultSession::new(&injector, uuid, 0, budget);
+                let blocking =
+                    run_bytes_tcp(&workflow, uuid, "seed", bytes, Some(&blocking_session));
+                let async_session = FaultSession::new(&injector, uuid, 0, budget);
+                let multiplexed = run_bytes_tcp_async(
+                    &workflow,
+                    uuid,
+                    "seed",
+                    bytes,
+                    Some(&async_session),
+                    &testbed,
+                );
+                assert_eq!(
+                    format!("{blocking:?}"),
+                    format!("{multiplexed:?}"),
+                    "case {uuid}, budget {budget}"
+                );
+                exhausted += usize::from(blocking.budget_exhausted);
+            }
+        }
+        assert!(exhausted > 40, "too few budgets ran out mid-case: {exhausted}");
     }
 
     #[test]

@@ -28,7 +28,6 @@
 
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use hdiff_abnf::Grammar;
@@ -289,7 +288,9 @@ pub struct FuzzEngine {
     workflow: Workflow,
     profiles: Vec<ParserProfile>,
     grammar: Grammar,
-    async_testbed: OnceLock<Result<hdiff_net::AsyncTestbed, hdiff_net::NetError>>,
+    /// One multiplexed-transport testbed per concurrent worker, each
+    /// with its own event loop, spawned on first use.
+    async_testbeds: hdiff_net::TestbedPool,
 }
 
 /// What one executed candidate came back with.
@@ -330,7 +331,8 @@ impl FuzzEngine {
         profiles: Vec<ParserProfile>,
         grammar: Grammar,
     ) -> FuzzEngine {
-        FuzzEngine { opts, workflow, profiles, grammar, async_testbed: OnceLock::new() }
+        let async_testbeds = hdiff_net::TestbedPool::new(workflow.backends(), workflow.proxies());
+        FuzzEngine { opts, workflow, profiles, grammar, async_testbeds }
     }
 
     /// The options in use.
@@ -344,15 +346,6 @@ impl FuzzEngine {
         } else {
             self.opts.threads
         }
-    }
-
-    fn async_testbed(&self) -> Result<&hdiff_net::AsyncTestbed, hdiff_net::NetError> {
-        self.async_testbed
-            .get_or_init(|| {
-                hdiff_net::AsyncTestbed::new(self.workflow.backends(), self.workflow.proxies())
-            })
-            .as_ref()
-            .map_err(Clone::clone)
     }
 
     /// Runs the session to its budget and reports.
@@ -652,14 +645,14 @@ impl FuzzEngine {
                         &bytes,
                         Some(&session),
                     ),
-                    Transport::TcpAsync => self.async_testbed().and_then(|testbed| {
+                    Transport::TcpAsync => self.async_testbeds.checkout().and_then(|testbed| {
                         try_run_bytes_tcp_async(
                             &self.workflow,
                             cand.uuid,
                             &cand.origin,
                             &bytes,
                             Some(&session),
-                            testbed,
+                            &testbed,
                         )
                     }),
                 };

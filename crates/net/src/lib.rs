@@ -66,5 +66,5 @@ pub use reactor::{
     ListenerId, Reactor, ReactorStats,
 };
 pub use server::{ConnectionLog, NetServer, NetServerConfig, ServerFault, Teardown};
-pub use testbed::AsyncTestbed;
+pub use testbed::{AsyncTestbed, TestbedLease, TestbedPool};
 pub use timeout::{io_timeout, stall_observe_timeout, DEFAULT_IO_TIMEOUT, IO_TIMEOUT_ENV};

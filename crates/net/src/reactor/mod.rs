@@ -41,7 +41,6 @@
 pub mod sys;
 pub mod wheel;
 
-use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -269,10 +268,6 @@ enum Cmd {
         id: ListenerId,
         ack: Sender<Vec<ProxyConnLog>>,
     },
-    TakeEchoRecords {
-        id: ListenerId,
-        ack: Sender<Vec<Vec<u8>>>,
-    },
     Stats {
         ack: Sender<ReactorStats>,
     },
@@ -304,7 +299,6 @@ struct ProxyListener {
 
 struct EchoListener {
     listener: TcpListener,
-    echo: Rc<RefCell<EchoServer>>,
     read_timeout: Duration,
 }
 
@@ -378,7 +372,6 @@ struct UpstreamConn {
 
 struct EchoConn {
     stream: TcpStream,
-    echo: Rc<RefCell<EchoServer>>,
     buf: Vec<u8>,
     out: Vec<u8>,
     out_pos: usize,
@@ -699,11 +692,7 @@ impl EventLoop {
             Cmd::AddEcho { listener, read_timeout, ack } => {
                 let _ = listener.set_nonblocking(true);
                 let fd = listener.as_raw_fd();
-                let idx = self.insert(Entry::EchoListener(EchoListener {
-                    listener,
-                    echo: Rc::new(RefCell::new(EchoServer::new())),
-                    read_timeout,
-                }));
+                let idx = self.insert(Entry::EchoListener(EchoListener { listener, read_timeout }));
                 let _ = self.register(fd, idx);
                 let _ = ack.send(ListenerId(self.token(idx)));
             }
@@ -735,21 +724,6 @@ impl EventLoop {
                     None => Vec::new(),
                 };
                 let _ = ack.send(logs);
-            }
-            Cmd::TakeEchoRecords { id, ack } => {
-                let records = match self.resolve(id) {
-                    Some(idx) => match self.slab[idx].entry.as_ref() {
-                        Some(Entry::EchoListener(l)) => {
-                            let mut echo = l.echo.borrow_mut();
-                            let records = echo.records().to_vec();
-                            echo.clear();
-                            records
-                        }
-                        _ => Vec::new(),
-                    },
-                    None => Vec::new(),
-                };
-                let _ = ack.send(records);
             }
             Cmd::Stats { ack } => {
                 let _ = ack.send(self.stats);
@@ -1210,7 +1184,6 @@ impl EventLoop {
                     let read_timeout = l.read_timeout;
                     let idx = self.insert(Entry::EchoConn(EchoConn {
                         stream,
-                        echo: Rc::clone(&l.echo),
                         buf: Vec::new(),
                         out: Vec::new(),
                         out_pos: 0,
@@ -1680,7 +1653,7 @@ impl EventLoop {
             match drain_read(&mut c.stream, &mut c.buf) {
                 ReadOutcome::More(_) => return true,
                 ReadOutcome::Eof | ReadOutcome::Error => {
-                    let response = c.echo.borrow_mut().receive(&c.buf);
+                    let response = EchoServer::respond(&c.buf);
                     c.out = response.to_bytes();
                     c.responded = true;
                 }
@@ -1704,7 +1677,7 @@ impl EventLoop {
         // The blocking echo responds with whatever arrived before its
         // read timeout; mirror that.
         if !c.responded {
-            let response = c.echo.borrow_mut().receive(&c.buf);
+            let response = EchoServer::respond(&c.buf);
             c.out = response.to_bytes();
             c.responded = true;
         }
@@ -2088,7 +2061,8 @@ impl Reactor {
         Ok(AsyncListener { name, addr, id })
     }
 
-    /// Hosts a recording echo origin inside the loop.
+    /// Hosts an echo origin inside the loop: every forwarded message is
+    /// answered with itself as the body; nothing is recorded.
     pub fn add_echo(&self, read_timeout: Duration) -> Result<AsyncListener, NetError> {
         let listener = TcpListener::bind("127.0.0.1:0").map_err(NetError::bind)?;
         let addr = listener.local_addr().map_err(NetError::bind)?;
@@ -2130,13 +2104,6 @@ impl Reactor {
     pub fn take_proxy_logs(&self, id: ListenerId) -> Vec<ProxyConnLog> {
         let (ack, rx) = channel();
         self.send(Cmd::TakeProxyLogs { id, ack });
-        rx.recv().unwrap_or_default()
-    }
-
-    /// Drains the forwarded messages an echo listener recorded.
-    pub fn take_echo_records(&self, id: ListenerId) -> Vec<Vec<u8>> {
-        let (ack, rx) = channel();
-        self.send(Cmd::TakeEchoRecords { id, ack });
         rx.recv().unwrap_or_default()
     }
 

@@ -6,8 +6,14 @@
 //! (16 ms granularity); arming is O(1), cancellation is free (each
 //! connection carries a monotonically bumped sequence number, so a stale
 //! wheel entry simply fails the sequence check when its slot comes up),
-//! and deadlines beyond the wheel horizon are re-armed on expiry until
-//! their absolute fire time is reached.
+//! and deadlines beyond the wheel horizon are re-filed on every sweep of
+//! their slot until their absolute fire time is reached.
+//!
+//! A deadline is filed into the tick *after* the one it falls in, so by
+//! the time the cursor sweeps its slot the deadline has passed: an entry
+//! fires at most one tick late and is never parked for a rotation. The
+//! epoll wait budget is the distance to the first non-empty slot, O(slots)
+//! whatever the number of armed entries.
 //!
 //! Stall detection keeps its existing resolution: the campaign's stall
 //! observation timeout is `io_timeout()/12` (≈ 41 ms at the default
@@ -20,7 +26,7 @@ use std::time::{Duration, Instant};
 pub const TICK: Duration = Duration::from_millis(16);
 
 /// Number of slots; `TICK * SLOTS` (~8 s) is the single-rotation
-/// horizon. Longer deadlines park in their modulo slot and re-arm.
+/// horizon. Longer deadlines park in their modulo slot and re-file.
 const SLOTS: usize = 512;
 
 #[derive(Debug, Clone, Copy)]
@@ -56,61 +62,57 @@ impl Wheel {
         (since.as_millis() / TICK.as_millis()) as u64
     }
 
+    fn slot_of(tick: u64) -> usize {
+        (tick % SLOTS as u64) as usize
+    }
+
     /// Arms a deadline `after` from `now` for connection `conn` with
     /// cancellation sequence `seq`.
     pub fn arm(&mut self, now: Instant, conn: usize, seq: u64, after: Duration) {
         let at = now + after;
-        // Never file into a slot the cursor already passed this
-        // rotation: a deadline inside the current tick fires next tick.
-        let tick = self.tick_of(at).max(self.cursor + 1);
-        let slot = (tick % SLOTS as u64) as usize;
-        self.slots[slot].push(Armed { conn, seq, at });
+        // The tick after the deadline's own, so the entry is due when
+        // its slot is swept — and never a slot the cursor already passed.
+        let tick = (self.tick_of(at) + 1).max(self.cursor + 1);
+        self.slots[Self::slot_of(tick)].push(Armed { conn, seq, at });
         self.armed += 1;
     }
 
     /// Advances to `now`, invoking `fire(conn, seq)` for every expired
-    /// deadline. Entries whose absolute time lies a full rotation ahead
-    /// are re-filed instead of fired.
+    /// deadline. Entries whose absolute time lies a rotation or more
+    /// ahead are re-filed instead of fired.
     pub fn advance(&mut self, now: Instant, mut fire: impl FnMut(usize, u64)) {
         let target = self.tick_of(now);
         while self.cursor < target {
             self.cursor += 1;
-            let slot = (self.cursor % SLOTS as u64) as usize;
+            let slot = Self::slot_of(self.cursor);
             let drained = std::mem::take(&mut self.slots[slot]);
             for entry in drained {
                 if entry.at <= now {
                     self.armed -= 1;
                     fire(entry.conn, entry.seq);
                 } else {
-                    // A future rotation's entry: park it again.
+                    // A later rotation's entry: it stays in its slot.
                     self.slots[slot].push(entry);
                 }
             }
         }
     }
 
-    /// Milliseconds until the next armed deadline could fire — the epoll
+    /// Milliseconds until the next non-empty slot is swept — the epoll
     /// wait budget. Returns `cap` when nothing is armed.
     pub fn next_timeout_ms(&self, now: Instant, cap: u64) -> u64 {
         if self.armed == 0 {
             return cap;
         }
-        let mut best: Option<Instant> = None;
-        for slot in &self.slots {
-            for entry in slot {
-                if best.is_none_or(|b| entry.at < b) {
-                    best = Some(entry.at);
-                }
-            }
-        }
-        match best {
-            Some(at) => {
-                let ms = at.saturating_duration_since(now).as_millis() as u64;
-                // +1 so the wait strictly covers the deadline tick.
-                (ms + 1).min(cap)
-            }
-            None => cap,
-        }
+        let Some(tick) = (self.cursor + 1..=self.cursor + SLOTS as u64)
+            .find(|&t| !self.slots[Self::slot_of(t)].is_empty())
+        else {
+            return cap;
+        };
+        let due = self.epoch + Duration::from_millis(tick * TICK.as_millis() as u64);
+        // Round up so the wait never ends before the slot's tick starts.
+        let ms = due.saturating_duration_since(now).as_nanos().div_ceil(1_000_000);
+        u64::try_from(ms).unwrap_or(u64::MAX).min(cap)
     }
 
     /// How many deadlines are currently armed (stale entries included
@@ -174,5 +176,45 @@ mod tests {
         w.arm(t0, 1, 1, Duration::from_millis(40));
         let ms = w.next_timeout_ms(t0, 100);
         assert!((30..=60).contains(&ms), "{ms}");
+    }
+
+    #[test]
+    fn a_deadline_swept_in_its_own_tick_fires_within_two_ticks() {
+        // The deadline falls in the middle of tick 5; the loop wakes at
+        // the start of tick 5 (before the deadline) and sweeps, then
+        // again shortly after. The entry must fire on the later sweep,
+        // not one rotation (~8.2 s) later.
+        let t0 = Instant::now();
+        let mut w = Wheel::new(t0);
+        let deadline = TICK * 5 + TICK / 2;
+        w.arm(t0, 4, 1, deadline);
+        let mut fired = Vec::new();
+        w.advance(t0 + TICK * 5 + Duration::from_millis(1), |c, s| fired.push((c, s)));
+        assert!(fired.is_empty(), "fired before its deadline");
+        w.advance(t0 + deadline + TICK * 2, |c, s| fired.push((c, s)));
+        assert_eq!(fired, vec![(4, 1)]);
+        assert_eq!(w.armed(), 0);
+    }
+
+    #[test]
+    fn next_timeout_is_never_later_than_the_earliest_due_entry() {
+        let t0 = Instant::now();
+        let mut w = Wheel::new(t0);
+        // 100k superseded entries spread over the next two seconds, as a
+        // busy loop leaves them behind, then one live early deadline.
+        for i in 0..100_000u64 {
+            let after = Duration::from_millis(200 + i % 1800);
+            w.arm(t0, (i % 1000) as usize, i, after);
+        }
+        let now = t0 + Duration::from_millis(3);
+        w.arm(now, 1_000_000, 1, Duration::from_millis(40));
+        let wait = w.next_timeout_ms(now, 1_000);
+        // Due once its slot (the tick after 43 ms) is swept: by 48 ms.
+        assert!(wait <= 45, "waits {wait} ms past the earliest deadline");
+        let mut fired = Vec::new();
+        w.advance(now + Duration::from_millis(wait), |c, s| fired.push((c, s)));
+        assert_eq!(fired, vec![(1_000_000, 1)], "the early entry was not due after the wait");
+        // A cursor that lags the clock asks for no wait at all.
+        assert_eq!(w.next_timeout_ms(t0 + Duration::from_millis(900), 1_000), 0);
     }
 }

@@ -373,6 +373,46 @@ mod tests {
         out
     }
 
+    /// The Tomcat-style lenient Transfer-Encoding vector of the
+    /// segmented-delivery gate.
+    const SEGMENTED_VECTOR: &[u8] = b"POST / HTTP/1.1\r\nHost: h\r\nContent-Length: 10\r\nTransfer-Encoding:\x0bchunked\r\n\r\n3\r\nabc\r\n0\r\n\r\n";
+
+    #[test]
+    fn incremental_finalize_is_prefix_stable_at_every_split() {
+        // Whatever prefix a segmented delivery leaves in the buffer, a
+        // reply finalized before EOF must be the reply the whole stream
+        // gets — in particular a chunk whose CRLF has only partly arrived
+        // waits for more bytes instead of rejecting.
+        for profile in hdiff_servers::backends() {
+            let server = Server::new(profile.clone());
+            let whole = server.handle(SEGMENTED_VECTOR);
+            for split in 1..SEGMENTED_VECTOR.len() {
+                let reply = server.handle(&SEGMENTED_VECTOR[..split]);
+                if is_final(&reply, split, false) {
+                    assert_eq!(reply, whole, "{} finalized early at byte {split}", profile.name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_malformed_chunk_terminator_still_finalizes_as_a_reject() {
+        let cut = SEGMENTED_VECTOR.windows(3).position(|w| w == b"abc").unwrap() + 3;
+        let mut bytes = SEGMENTED_VECTOR[..cut].to_vec();
+        bytes.push(b'X');
+        let mut rejected_early = 0;
+        for profile in hdiff_servers::backends() {
+            let reply = Server::new(profile).handle(&bytes);
+            if let hdiff_servers::Outcome::Reject { reason, .. } = &reply.interpretation.outcome {
+                if reason.contains("chunk data not terminated by crlf") {
+                    assert!(is_final(&reply, bytes.len(), false), "{reason}");
+                    rejected_early += 1;
+                }
+            }
+        }
+        assert!(rejected_early > 0, "no profile decodes the chunked body strictly");
+    }
+
     #[test]
     fn serves_a_simple_request_over_tcp() {
         let server =

@@ -3,12 +3,18 @@
 //! The blocking transport spawns fresh listeners (and threads) for every
 //! case; [`AsyncTestbed`] instead hosts every behavioral profile — all
 //! origin servers, all proxy hops, and one shared echo upstream — inside
-//! a single [`crate::reactor::Reactor`] event loop for the lifetime of a
-//! campaign. Cases fan out to every view *concurrently* as one job
+//! a single [`crate::reactor::Reactor`] event loop that lives as long as
+//! the testbed. Cases fan out to every view *concurrently* as one job
 //! batch, connections come from the reactor's warm keep-alive pool, and
 //! each exchange collects its own connection log through the reactor's
 //! pairing tickets (so interleaved cases can never mix logs up).
+//!
+//! A campaign runs one testbed per worker thread: [`TestbedPool`] hands
+//! each case an idle testbed and spawns a new one only when none is idle,
+//! so the shards share nothing and every core runs its own event loop.
 
+use std::ops::Deref;
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use hdiff_servers::ParserProfile;
@@ -25,7 +31,8 @@ use crate::timeout::io_timeout;
 /// Idle keep-alive connections the reactor pre-opens per listener.
 pub const WARM_DEPTH: usize = 2;
 
-/// Every profile of a campaign, served by one event loop.
+/// Every profile of a campaign, served by one event loop (one shard of
+/// a [`TestbedPool`]).
 #[derive(Debug)]
 pub struct AsyncTestbed {
     reactor: Reactor,
@@ -36,7 +43,7 @@ pub struct AsyncTestbed {
 
 impl AsyncTestbed {
     /// Spawns the reactor and hosts `backends` as origin listeners and
-    /// `proxies` as forwarding hops (relaying to a shared recording
+    /// `proxies` as forwarding hops (relaying to a shared non-recording
     /// echo), then pre-warms a keep-alive pool for every listener.
     ///
     /// Fails with a typed error on unsupported targets (no epoll
@@ -137,16 +144,118 @@ impl AsyncTestbed {
             .unwrap_or_default()
     }
 
-    /// Drops the echo's accumulated forwarded-message records (the diff
-    /// outcome never reads them; unbounded growth over a long campaign
-    /// is the only concern).
-    pub fn clear_echo_records(&self) {
-        let _ = self.reactor.take_echo_records(self.echo.id);
-    }
-
     /// Reactor counter snapshot (pool hits/misses, churn, wakeups).
     pub fn stats(&self) -> ReactorStats {
         self.reactor.stats()
+    }
+}
+
+/// Share-nothing [`AsyncTestbed`] shards for a campaign's worker threads.
+///
+/// [`TestbedPool::checkout`] lends an idle testbed, spawning one only when
+/// none is idle, so the pool never holds more testbeds than there were
+/// concurrent checkouts — one per worker. Testbeds spawn lazily at first
+/// use. A spawn failure while no testbed exists is cached and returned by
+/// every later checkout (the campaign records it per case as a net
+/// error); a failure once shards exist caps the pool at its current size.
+#[derive(Debug)]
+pub struct TestbedPool {
+    backends: Vec<ParserProfile>,
+    proxies: Vec<ParserProfile>,
+    state: Mutex<PoolState>,
+    returned: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct PoolState {
+    idle: Vec<AsyncTestbed>,
+    /// Testbeds spawned or being spawned.
+    spawned: usize,
+    /// A later spawn failed: wait for an idle shard instead of spawning.
+    capped: bool,
+    failed: Option<NetError>,
+}
+
+impl TestbedPool {
+    /// A pool whose testbeds host `backends` and `proxies` (see
+    /// [`AsyncTestbed::new`]). Spawns nothing yet.
+    pub fn new(backends: &[ParserProfile], proxies: &[ParserProfile]) -> TestbedPool {
+        TestbedPool {
+            backends: backends.to_vec(),
+            proxies: proxies.to_vec(),
+            state: Mutex::new(PoolState::default()),
+            returned: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Lends an idle testbed, spawning one if none is idle. The testbed
+    /// returns to the pool when the lease drops.
+    pub fn checkout(&self) -> Result<TestbedLease<'_>, NetError> {
+        let mut state = self.lock();
+        loop {
+            if let Some(testbed) = state.idle.pop() {
+                return Ok(TestbedLease { pool: self, testbed: Some(testbed) });
+            }
+            if let Some(e) = &state.failed {
+                return Err(e.clone());
+            }
+            if state.capped {
+                state = self.returned.wait(state).unwrap_or_else(|e| e.into_inner());
+                continue;
+            }
+            state.spawned += 1;
+            drop(state);
+            // Spawning binds listeners and warms pools: not under the lock.
+            let spawned = AsyncTestbed::new(&self.backends, &self.proxies);
+            state = self.lock();
+            match spawned {
+                Ok(testbed) => return Ok(TestbedLease { pool: self, testbed: Some(testbed) }),
+                Err(e) => {
+                    state.spawned -= 1;
+                    if state.spawned == 0 {
+                        state.failed = Some(e);
+                    } else {
+                        state.capped = true;
+                    }
+                    self.returned.notify_all();
+                }
+            }
+        }
+    }
+
+    /// Testbeds spawned so far, idle or lent out (a spawn in progress
+    /// counts).
+    pub fn spawned(&self) -> usize {
+        self.lock().spawned
+    }
+}
+
+/// A testbed lent by [`TestbedPool::checkout`]; dereferences to the
+/// [`AsyncTestbed`] and returns it to the pool on drop.
+#[derive(Debug)]
+pub struct TestbedLease<'a> {
+    pool: &'a TestbedPool,
+    testbed: Option<AsyncTestbed>,
+}
+
+impl Deref for TestbedLease<'_> {
+    type Target = AsyncTestbed;
+
+    fn deref(&self) -> &AsyncTestbed {
+        self.testbed.as_ref().expect("a lease holds its testbed until dropped")
+    }
+}
+
+impl Drop for TestbedLease<'_> {
+    fn drop(&mut self) {
+        if let Some(testbed) = self.testbed.take() {
+            self.pool.lock().idle.push(testbed);
+            self.pool.returned.notify_one();
+        }
     }
 }
 
@@ -208,5 +317,35 @@ mod tests {
         let stats = testbed.stats();
         assert!(stats.pool_hits >= 1, "{stats:?}");
         assert_eq!(stats.pool_hits + stats.pool_misses, 4, "{stats:?}");
+    }
+
+    #[test]
+    fn pool_spawns_lazily_and_never_beyond_the_concurrent_checkouts() {
+        let pool = TestbedPool::new(&[ParserProfile::strict("wire")], &[]);
+        assert_eq!(pool.spawned(), 0, "nothing spawns before first use");
+        let workers = 3;
+        let barrier = std::sync::Barrier::new(workers);
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| {
+                    barrier.wait();
+                    for _ in 0..20 {
+                        let testbed = pool.checkout().unwrap();
+                        let ex = testbed.exchange(
+                            &testbed.backends()[0],
+                            b"GET / HTTP/1.1\r\nHost: h\r\n\r\n",
+                            SendMode::Whole,
+                        );
+                        assert!(ex.error.is_none(), "{ex:?}");
+                    }
+                });
+            }
+        });
+        let spawned = pool.spawned();
+        assert!((1..=workers).contains(&spawned), "{spawned} testbeds for {workers} workers");
+        // Sequential checkouts reuse one idle testbed.
+        drop(pool.checkout().unwrap());
+        drop(pool.checkout().unwrap());
+        assert_eq!(pool.spawned(), spawned);
     }
 }

@@ -22,6 +22,12 @@ impl EchoServer {
     /// the response body.
     pub fn receive(&mut self, forwarded: &[u8]) -> Response {
         self.records.push(forwarded.to_vec());
+        EchoServer::respond(forwarded)
+    }
+
+    /// The echo response for one forwarded message, without recording it
+    /// (for long-lived upstreams whose records nobody reads).
+    pub fn respond(forwarded: &[u8]) -> Response {
         let mut r = Response::with_body(StatusCode::OK, forwarded.to_vec());
         r.headers.push("Server", "hdiff-echo");
         r

@@ -224,9 +224,14 @@ pub fn decode_chunked(
             return Ok(DecodedChunked { payload, consumed: pos, repaired: true });
         }
 
-        if input.len() < pos + 2 || &input[pos..pos + 2] != b"\r\n" {
+        let tail = &input[pos..input.len().min(pos + 2)];
+        if tail != b"\r\n" {
             if opts.truncate_short_final_chunk {
                 return Ok(DecodedChunked { payload, consumed: pos, repaired: true });
+            }
+            // Only part of the CRLF has arrived: more bytes may complete it.
+            if b"\r\n".starts_with(tail) {
+                return Err(ChunkedError::Truncated);
             }
             return Err(ChunkedError::MissingDataCrlf);
         }
@@ -516,6 +521,22 @@ mod tests {
         assert_eq!(decode_chunked(b"5", &opts).unwrap_err(), ChunkedError::Truncated);
         assert_eq!(decode_chunked(b"", &opts).unwrap_err(), ChunkedError::Truncated);
         assert_eq!(decode_chunked(b"2\r\nabXX", &opts).unwrap_err(), ChunkedError::MissingDataCrlf);
+    }
+
+    #[test]
+    fn a_partial_data_crlf_is_truncated_not_malformed() {
+        let opts = ChunkedDecodeOptions::strict();
+        assert_eq!(decode_chunked(b"3\r\nabc", &opts).unwrap_err(), ChunkedError::Truncated);
+        assert_eq!(decode_chunked(b"3\r\nabc\r", &opts).unwrap_err(), ChunkedError::Truncated);
+        assert_eq!(decode_chunked(b"3\r\nabcX", &opts).unwrap_err(), ChunkedError::MissingDataCrlf);
+        assert_eq!(
+            decode_chunked(b"3\r\nabc\rX", &opts).unwrap_err(),
+            ChunkedError::MissingDataCrlf
+        );
+        assert_eq!(
+            decode_chunked(b"3\r\nabc\n\r", &opts).unwrap_err(),
+            ChunkedError::MissingDataCrlf
+        );
     }
 
     #[test]
