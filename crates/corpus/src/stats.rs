@@ -3,7 +3,7 @@
 use crate::document::RfcDocument;
 
 /// Aggregate corpus statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CorpusStats {
     /// Number of documents.
     pub documents: usize,

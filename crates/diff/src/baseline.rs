@@ -11,7 +11,7 @@ use hdiff_gen::AttackClass;
 use hdiff_servers::{interpret, Interpretation, Outcome, ParserProfile};
 
 /// What kind of deviation from the baseline was observed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviationKind {
     /// Accepted a message the baseline rejects (lenient acceptance).
     LenientAccept,
@@ -27,7 +27,7 @@ pub enum DeviationKind {
 }
 
 /// One deviation record.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Deviation {
     /// The deviation kind.
     pub kind: DeviationKind,

@@ -12,7 +12,7 @@ use hdiff_sr::{Modality, Role};
 use crate::syntax::SyntaxOracle;
 
 /// One observed violation of an SR assertion.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SrViolation {
     /// The implementation that violated the assertion.
     pub implementation: String,

@@ -40,6 +40,7 @@
 //! pipelined batch to every backend and flags response-attribution
 //! disagreements — the on-the-wire symptom of request smuggling.
 
+use std::net::SocketAddr;
 use std::time::Duration;
 
 use hdiff_gen::{AttackClass, TestCase};
@@ -227,8 +228,7 @@ pub fn try_run_bytes_tcp(
             let echo = NetEcho::spawn(wire_timeout())?;
             let config = NetProxyConfig { fault: decision, ..NetProxyConfig::new(echo.addr()) };
             let proxy = NetProxy::spawn(proxy_profile.clone(), config)?;
-            let client = WireClient::new(proxy.addr());
-            let _ = client.exchange(&bytes, &SendMode::Whole);
+            observed_exchange(proxy.addr(), &bytes, &SendMode::Whole);
             proxy.take_logs().pop().map(|l| l.results).unwrap_or_default()
         };
 
@@ -309,7 +309,14 @@ pub fn try_run_bytes_tcp(
 /// One campaign-style wire exchange against a backend listener: send per
 /// `mode`, FIN, read to EOF, pop the (now guaranteed) connection log.
 fn roundtrip(server: &NetServer, bytes: &[u8], mode: &SendMode) -> Vec<ServerReply> {
-    let client = WireClient::new(server.addr());
+    observed_exchange(server.addr(), bytes, mode);
+    server.take_logs().pop().map(|l| l.replies).unwrap_or_default()
+}
+
+/// One campaign-style wire exchange (send per `mode`, FIN, read to EOF)
+/// with the RTT and timeout observations every exchange of a case makes.
+fn observed_exchange(addr: SocketAddr, bytes: &[u8], mode: &SendMode) {
+    let client = WireClient::new(addr);
     let started = std::time::Instant::now();
     let exchange = client.exchange(bytes, mode);
     let rtt = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -317,7 +324,6 @@ fn roundtrip(server: &NetServer, bytes: &[u8], mode: &SendMode) -> Vec<ServerRep
     if exchange.as_ref().is_ok_and(|e| e.timed_out) {
         hdiff_obs::count("net.exchange.timeout", 1);
     }
-    server.take_logs().pop().map(|l| l.replies).unwrap_or_default()
 }
 
 /// A proxy's upstream stream as the sim derives it from the proxy's
@@ -586,7 +592,7 @@ pub fn try_run_bytes_tcp_async(
 
 /// Campaign telemetry for one multiplexed exchange, emitted from the
 /// case thread (the event loop itself records nothing): the RTT/timeout
-/// observations [`roundtrip`] makes, plus the pool counters the
+/// observations [`observed_exchange`] makes, plus the pool counters the
 /// blocking [`hdiff_net::ConnPool`] emits.
 fn observe_async_exchange(ex: Option<&ExchangeOutput>) {
     let Some(e) = ex else { return };

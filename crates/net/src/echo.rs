@@ -2,115 +2,62 @@
 //!
 //! Each forwarded message travels on its own upstream connection (the
 //! proxy opens a fresh connection per message), so the echo learns exact
-//! message boundaries without parsing: it reads one connection to EOF,
-//! records the bytes, and echoes them back in a 200 response — the same
-//! behavior as the in-process [`hdiff_servers::EchoServer`], whose
-//! response construction it reuses.
+//! message boundaries without parsing: a `conn::Echo` machine reads one
+//! connection to EOF and echoes the bytes back in a 200 response — the
+//! same response as the in-process [`hdiff_servers::EchoServer`] — and
+//! the listener records the message.
 
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
+use std::net::SocketAddr;
 use std::time::Duration;
 
-use hdiff_servers::EchoServer;
-
+use crate::blocking::{serve, Listener, Records};
+use crate::conn::Echo;
 use crate::error::NetError;
-
-/// Poison-tolerant lock: the echo's record list stays structurally
-/// intact across a panicking peer thread, and the recorded bytes matter
-/// more than poison hygiene.
-fn lock_echo(inner: &Mutex<EchoServer>) -> MutexGuard<'_, EchoServer> {
-    inner.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// A recording echo listener on an ephemeral loopback port.
 #[derive(Debug)]
 pub struct NetEcho {
-    addr: SocketAddr,
-    inner: Arc<Mutex<EchoServer>>,
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
+    listener: Listener,
+    records: Records<Vec<u8>>,
 }
 
 impl NetEcho {
     /// Binds `127.0.0.1:0` and starts recording. Bind/spawn failures are
     /// typed [`NetError`]s; a transient accept failure is counted and
-    /// tolerated (see [`crate::server::MAX_ACCEPT_ERRORS`]).
+    /// tolerated.
     pub fn spawn(read_timeout: Duration) -> Result<NetEcho, NetError> {
-        let listener = TcpListener::bind("127.0.0.1:0").map_err(NetError::bind)?;
-        let addr = listener.local_addr().map_err(NetError::bind)?;
-        let inner = Arc::new(Mutex::new(EchoServer::new()));
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread = {
-            let inner = Arc::clone(&inner);
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("net-echo".to_string())
-                .spawn(move || {
-                    let mut accept_errors = 0u32;
-                    while !stop.load(Ordering::SeqCst) {
-                        let mut stream = match listener.accept() {
-                            Ok((stream, _)) => stream,
-                            Err(_) => {
-                                hdiff_obs::count("net.accept.error", 1);
-                                accept_errors += 1;
-                                if accept_errors >= crate::server::MAX_ACCEPT_ERRORS {
-                                    break;
-                                }
-                                continue;
-                            }
-                        };
-                        accept_errors = 0;
-                        if stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let _ = stream.set_read_timeout(Some(read_timeout));
-                        let mut bytes = Vec::new();
-                        let _ = stream.read_to_end(&mut bytes);
-                        let response = lock_echo(&inner).receive(&bytes);
-                        let _ = stream.write_all(&response.to_bytes());
-                        let _ = stream.shutdown(Shutdown::Both);
-                    }
-                })
-                .map_err(NetError::spawn)?
-        };
-        Ok(NetEcho { addr, inner, stop, thread: Some(thread) })
+        let records = Records::new();
+        let listener = Listener::spawn("net-echo".to_string(), {
+            let records = records.clone();
+            move |stream| {
+                let timeout = read_timeout;
+                serve(Echo::new(), &(), stream, timeout, timeout, None, |m| records.push(m));
+            }
+        })?;
+        Ok(NetEcho { listener, records })
     }
 
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.addr()
     }
 
     /// Drains the recorded forwarded messages, in arrival order.
     pub fn take_records(&self) -> Vec<Vec<u8>> {
-        let mut echo = lock_echo(&self.inner);
-        let records = echo.records().to_vec();
-        echo.clear();
-        records
+        self.records.take()
     }
 
     /// Stops the accept loop and joins the listener thread.
     pub fn shutdown(&mut self) {
-        if let Some(thread) = self.thread.take() {
-            self.stop.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(self.addr);
-            let _ = thread.join();
-        }
-    }
-}
-
-impl Drop for NetEcho {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.listener.shutdown();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{Read, Write};
+    use std::net::{Shutdown, TcpStream};
 
     #[test]
     fn records_and_echoes_over_the_wire() {

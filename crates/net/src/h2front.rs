@@ -14,15 +14,13 @@
 //! EOF is guaranteed to find the complete log — no sleeps, no polling.
 
 use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
 use hdiff_h2::{encode_server_connection, parse_client_connection, H2Request, H2Response};
 use hdiff_servers::{DowngradeOutcome, DowngradeProfile};
 
+use crate::blocking::{Listener, Records};
 use crate::error::NetError;
 
 /// One client connection's worth of downgrade work, as the front saw it.
@@ -39,17 +37,11 @@ pub struct H2FrontLog {
     pub h1: Vec<u8>,
 }
 
-fn lock_logs(logs: &Mutex<Vec<H2FrontLog>>) -> MutexGuard<'_, Vec<H2FrontLog>> {
-    logs.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// A downgrade front end on an ephemeral loopback port.
 #[derive(Debug)]
 pub struct H2FrontServer {
-    addr: SocketAddr,
-    logs: Arc<Mutex<Vec<H2FrontLog>>>,
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
+    listener: Listener,
+    logs: Records<H2FrontLog>,
 }
 
 impl H2FrontServer {
@@ -58,74 +50,35 @@ impl H2FrontServer {
         front: DowngradeProfile,
         read_timeout: Duration,
     ) -> Result<H2FrontServer, NetError> {
-        let listener = TcpListener::bind("127.0.0.1:0").map_err(NetError::bind)?;
-        let addr = listener.local_addr().map_err(NetError::bind)?;
-        let logs: Arc<Mutex<Vec<H2FrontLog>>> = Arc::new(Mutex::new(Vec::new()));
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread = {
-            let logs = Arc::clone(&logs);
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name(format!("h2-front-{}", front.name))
-                .spawn(move || {
-                    let mut accept_errors = 0u32;
-                    while !stop.load(Ordering::SeqCst) {
-                        let mut stream = match listener.accept() {
-                            Ok((stream, _)) => stream,
-                            Err(_) => {
-                                hdiff_obs::count("net.accept.error", 1);
-                                accept_errors += 1;
-                                if accept_errors >= crate::server::MAX_ACCEPT_ERRORS {
-                                    break;
-                                }
-                                continue;
-                            }
-                        };
-                        accept_errors = 0;
-                        if stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let _ = stream.set_read_timeout(Some(read_timeout));
-                        handle_connection(&front, &logs, &mut stream);
-                    }
-                })
-                .map_err(NetError::spawn)?
-        };
-        Ok(H2FrontServer { addr, logs, stop, thread: Some(thread) })
+        let logs = Records::new();
+        let listener = Listener::spawn(format!("h2-front-{}", front.name), {
+            let logs = logs.clone();
+            move |mut stream| {
+                let _ = stream.set_read_timeout(Some(read_timeout));
+                handle_connection(&front, &logs, &mut stream);
+            }
+        })?;
+        Ok(H2FrontServer { listener, logs })
     }
 
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.addr()
     }
 
     /// Drains the connection logs, in arrival order.
     pub fn take_logs(&self) -> Vec<H2FrontLog> {
-        std::mem::take(&mut *lock_logs(&self.logs))
+        self.logs.take()
     }
 
     /// Stops the accept loop and joins the listener thread.
     pub fn shutdown(&mut self) {
-        if let Some(thread) = self.thread.take() {
-            self.stop.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(self.addr);
-            let _ = thread.join();
-        }
-    }
-}
-
-impl Drop for H2FrontServer {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.listener.shutdown();
     }
 }
 
 /// Reads one client connection to EOF, downgrades it, logs, responds.
-fn handle_connection(
-    front: &DowngradeProfile,
-    logs: &Mutex<Vec<H2FrontLog>>,
-    stream: &mut TcpStream,
-) {
+fn handle_connection(front: &DowngradeProfile, logs: &Records<H2FrontLog>, stream: &mut TcpStream) {
     let mut bytes = Vec::new();
     let _ = stream.read_to_end(&mut bytes);
     hdiff_obs::count("h2.front.connections", 1);
@@ -161,7 +114,7 @@ fn handle_connection(
         .collect();
 
     // Log before the peer can observe EOF (see module docs).
-    lock_logs(logs).push(H2FrontLog { parse_error, requests, outcomes, h1 });
+    logs.push(H2FrontLog { parse_error, requests, outcomes, h1 });
     let _ = stream.write_all(&encode_server_connection(&responses));
     let _ = stream.shutdown(Shutdown::Both);
 }

@@ -8,16 +8,22 @@
 //! partial-read handling — can be observed as *byte streams* instead of
 //! function calls.
 //!
-//! * [`server`] — [`server::NetServer`]: an ephemeral-port origin server
-//!   running the `servers::engine` over a buffered connection loop with
-//!   keep-alive, pipelined request accounting, read/write timeouts, and
-//!   per-connection teardown records (graceful FIN vs. abort).
-//! * [`echo`] — [`echo::NetEcho`]: the recording echo origin of Fig. 6,
-//!   as a socket: one upstream connection per forwarded message, read to
-//!   EOF, echoed back.
-//! * [`proxy`] — [`proxy::NetProxy`]: a forwarding proxy hop that parses
-//!   the client stream with a [`hdiff_servers::Proxy`] and relays each
-//!   forwarded message over a fresh upstream connection.
+//! * `conn` — the sans-IO connection state machines, one per role
+//!   (`Origin`, `Proxy`, `Echo`): bytes, EOF,
+//!   I/O errors, deadlines and relay results in; reply bytes, relay
+//!   requests, hold/close decisions and connection logs out. Both
+//!   drivers below run them, so the transports agree by construction.
+//! * [`server`], [`proxy`], [`echo`] — the blocking driver's listeners:
+//!   [`server::NetServer`] (an origin profile with keep-alive, pipelined
+//!   request accounting, read/write timeouts and per-connection teardown
+//!   records), [`proxy::NetProxy`] (a forwarding hop relaying each
+//!   forwarded message over a fresh upstream connection) and
+//!   [`echo::NetEcho`] (the recording echo origin of Fig. 6). One accept
+//!   thread per listener; one blocking loop feeds each connection's
+//!   machine.
+//! * [`reactor`] — the epoll driver: one event loop per
+//!   [`testbed::AsyncTestbed`] hosting every listener, its connections
+//!   and the client side of every exchange.
 //! * [`h2front`] — [`h2front::H2FrontServer`]: an HTTP/2 (h2c, prior
 //!   knowledge) downgrade front end: parses whole client connections,
 //!   translates them through a [`hdiff_servers::DowngradeProfile`], and
@@ -33,16 +39,18 @@
 //! # Synchronization model
 //!
 //! The campaign drivers write the entire request stream, then
-//! `shutdown(Write)` (FIN), then read to EOF. Every server handler pushes
-//! its connection log *before* closing the stream, so a client that
+//! `shutdown(Write)` (FIN), then read to EOF. Both drivers hand over a
+//! machine's connection log *before* closing the stream, so a client that
 //! observed EOF is guaranteed to observe the complete log — no sleeps, no
 //! polling. Incremental parsing only finalizes a message early when the
 //! parse cannot change with more bytes (see
-//! [`server::incomplete_reason`]), which keeps the wire outcome equal to
+//! `conn::incomplete_reason`), which keeps the wire outcome equal to
 //! the in-process [`hdiff_servers::Server::handle_stream`] outcome for
 //! identical byte streams.
 
+mod blocking;
 pub mod client;
+mod conn;
 pub mod desync;
 pub mod echo;
 pub mod error;

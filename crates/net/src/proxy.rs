@@ -7,31 +7,24 @@
 //! boundaries from connection boundaries, without parsing. Upstream
 //! responses are relayed back downstream verbatim.
 //!
-//! Forward-stage fault effects are passed in as a pre-decided
-//! [`FaultDecision`] (the campaign thread owns the fault session); the
+//! Each downstream connection is a `conn::Proxy` machine run by the
+//! blocking driver — the machine the reactor drives too. Forward-stage
+//! fault effects are passed in as a pre-decided [`FaultDecision`] (the
+//! campaign thread owns the fault session); the machine applies the
 //! byte-level effects — prefix cut, garbled octet, stalled (empty)
-//! forward — are applied with the same `FaultDecision` methods the
-//! in-process path uses, so both transports forward identical damage.
+//! forward — with the same `FaultDecision` methods the in-process path
+//! uses, so both transports forward identical damage.
 
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
+use std::net::SocketAddr;
 use std::time::Duration;
 
-use hdiff_servers::fault::{FaultDecision, FaultKind};
-use hdiff_servers::{ForwardAction, ParserProfile, Proxy, ProxyResult};
+use hdiff_servers::fault::FaultDecision;
+use hdiff_servers::{ParserProfile, Proxy, ProxyResult};
 
+use crate::blocking::{serve, Listener, Records};
 use crate::error::NetError;
-use crate::server::{incomplete_reason, Teardown, MAX_ACCEPT_ERRORS, MAX_MESSAGES};
+use crate::server::{Teardown, MAX_MESSAGES};
 use crate::timeout::io_timeout;
-
-/// Poison-tolerant lock over the append-only connection log (same
-/// rationale as the origin server's log lock).
-fn lock_logs(logs: &Mutex<Vec<ProxyConnLog>>) -> MutexGuard<'_, Vec<ProxyConnLog>> {
-    logs.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Configuration for one proxy listener.
 #[derive(Debug, Clone)]
@@ -76,10 +69,8 @@ pub struct ProxyConnLog {
 /// A proxy profile listening on an ephemeral loopback port.
 #[derive(Debug)]
 pub struct NetProxy {
-    addr: SocketAddr,
-    logs: Arc<Mutex<Vec<ProxyConnLog>>>,
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
+    listener: Listener,
+    logs: Records<ProxyConnLog>,
     /// The product name served.
     pub name: String,
 }
@@ -87,211 +78,53 @@ pub struct NetProxy {
 impl NetProxy {
     /// Binds `127.0.0.1:0` and starts proxying. Bind/spawn failures are
     /// typed [`NetError`]s; transient accept failures are counted and
-    /// tolerated up to [`MAX_ACCEPT_ERRORS`] in a row.
+    /// tolerated a few times in a row.
     ///
     /// # Panics
     ///
     /// Panics if `profile` has no proxy behavior configured (same
     /// contract as [`Proxy::new`]).
     pub fn spawn(profile: ParserProfile, config: NetProxyConfig) -> Result<NetProxy, NetError> {
-        let listener = TcpListener::bind("127.0.0.1:0").map_err(NetError::bind)?;
-        let addr = listener.local_addr().map_err(NetError::bind)?;
-        let logs = Arc::new(Mutex::new(Vec::new()));
-        let stop = Arc::new(AtomicBool::new(false));
         let name = profile.name.clone();
+        let logs = Records::new();
         let proxy = Proxy::new(profile);
-        let thread = {
-            let logs = Arc::clone(&logs);
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name(format!("net-proxy-{name}"))
-                .spawn(move || {
-                    let mut accept_errors = 0u32;
-                    while !stop.load(Ordering::SeqCst) {
-                        let stream = match listener.accept() {
-                            Ok((stream, _)) => stream,
-                            Err(_) => {
-                                hdiff_obs::count("net.accept.error", 1);
-                                accept_errors += 1;
-                                if accept_errors >= MAX_ACCEPT_ERRORS {
-                                    break;
-                                }
-                                continue;
-                            }
-                        };
-                        accept_errors = 0;
-                        if stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        handle_connection(&proxy, &config, stream, &logs);
-                    }
-                })
-                .map_err(NetError::spawn)?
-        };
-        Ok(NetProxy { addr, logs, stop, thread: Some(thread), name })
+        let listener = Listener::spawn(format!("net-proxy-{name}"), {
+            let logs = logs.clone();
+            move |stream| {
+                let machine = crate::conn::Proxy::new(&config);
+                let (read, write) = (config.read_timeout, config.write_timeout);
+                let upstream = Some(config.upstream);
+                serve(machine, &proxy, stream, read, write, upstream, |log| logs.push(log));
+            }
+        })?;
+        Ok(NetProxy { listener, logs, name })
     }
 
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.addr()
     }
 
     /// Drains the accumulated connection logs.
     pub fn take_logs(&self) -> Vec<ProxyConnLog> {
-        std::mem::take(&mut *lock_logs(&self.logs))
+        self.logs.take()
     }
 
     /// Stops the accept loop and joins the listener thread.
     pub fn shutdown(&mut self) {
-        if let Some(thread) = self.thread.take() {
-            self.stop.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(self.addr);
-            let _ = thread.join();
-        }
+        self.listener.shutdown();
     }
-}
-
-impl Drop for NetProxy {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Relays one forwarded message over a fresh upstream connection and
-/// returns the upstream's raw response bytes.
-fn relay_upstream(config: &NetProxyConfig, bytes: &[u8]) -> std::io::Result<Vec<u8>> {
-    let mut up = TcpStream::connect(config.upstream)?;
-    up.set_read_timeout(Some(config.read_timeout))?;
-    up.set_write_timeout(Some(config.write_timeout))?;
-    up.write_all(bytes)?;
-    up.shutdown(Shutdown::Write)?;
-    let mut response = Vec::new();
-    up.read_to_end(&mut response)?;
-    Ok(response)
-}
-
-/// Runs one downstream connection. The log is pushed *before* the stream
-/// is closed, so a client that observed EOF observes the complete log.
-fn handle_connection(
-    proxy: &Proxy,
-    config: &NetProxyConfig,
-    mut stream: TcpStream,
-    logs: &Mutex<Vec<ProxyConnLog>>,
-) {
-    let _ = stream.set_read_timeout(Some(config.read_timeout));
-    let _ = stream.set_write_timeout(Some(config.write_timeout));
-    let _ = stream.set_nodelay(true);
-
-    let mut buf: Vec<u8> = Vec::new();
-    let mut pos = 0usize;
-    let mut results: Vec<ProxyResult> = Vec::new();
-    let mut eof = false;
-    let mut teardown = Teardown::Fin;
-
-    'conn: loop {
-        while results.len() < config.max_messages && pos < buf.len() {
-            let mut r = proxy.forward(&buf[pos..]);
-            let i = &r.interpretation;
-            let finalizable = eof
-                || if i.outcome.is_accept() {
-                    !(i.repaired_chunked && i.consumed >= buf.len() - pos)
-                } else {
-                    !incomplete_reason(i)
-                };
-            if !finalizable {
-                break; // wait for more bytes (or EOF)
-            }
-            let consumed = r.interpretation.consumed;
-            let rejected = matches!(r.action, ForwardAction::Rejected(_));
-            let mut drop_rest = false;
-
-            // Apply the pre-decided forward-stage fault to forwarded
-            // messages — byte-identically to the in-process path.
-            if let (Some(decision), ForwardAction::Forwarded(bytes)) = (config.fault, &r.action) {
-                match decision.kind {
-                    FaultKind::ConnReset => {
-                        let cut = decision.reset_point(bytes.len());
-                        r.action = ForwardAction::Forwarded(bytes[..cut].to_vec());
-                        drop_rest = true;
-                    }
-                    FaultKind::GarbleForward => {
-                        r.action = ForwardAction::Forwarded(decision.garble(bytes));
-                    }
-                    FaultKind::StallRead => {
-                        r.action = ForwardAction::Forwarded(Vec::new());
-                        drop_rest = true;
-                    }
-                    _ => {}
-                }
-            }
-
-            match &r.action {
-                ForwardAction::Forwarded(bytes) => {
-                    // A stalled forward sends nothing upstream and answers
-                    // nothing downstream; everything else is relayed.
-                    if !bytes.is_empty() {
-                        match relay_upstream(config, bytes) {
-                            Ok(response) => {
-                                if stream.write_all(&response).is_err() {
-                                    teardown = Teardown::Abort;
-                                    results.push(r);
-                                    break 'conn;
-                                }
-                            }
-                            Err(_) => {
-                                teardown = Teardown::Abort;
-                                results.push(r);
-                                break 'conn;
-                            }
-                        }
-                    }
-                }
-                ForwardAction::Rejected(response) => {
-                    let _ = stream.write_all(&response.to_bytes());
-                }
-            }
-
-            results.push(r);
-            if rejected || consumed == 0 || drop_rest {
-                if drop_rest {
-                    teardown = Teardown::Abort;
-                }
-                break 'conn;
-            }
-            pos += consumed;
-        }
-
-        if eof || results.len() >= config.max_messages {
-            break;
-        }
-
-        let mut chunk = [0u8; 4096];
-        match stream.read(&mut chunk) {
-            Ok(0) => eof = true,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                teardown = Teardown::TimedOut;
-                break;
-            }
-            Err(_) => {
-                teardown = Teardown::Abort;
-                break;
-            }
-        }
-    }
-
-    lock_logs(logs).push(ProxyConnLog { results, teardown });
-    let _ = stream.shutdown(Shutdown::Both);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conn::{drive, Echo, Input};
     use crate::echo::NetEcho;
+    use hdiff_servers::fault::FaultKind;
     use hdiff_servers::profile::ProxyBehavior;
+    use std::io::{Read, Write};
+    use std::net::{Shutdown, TcpStream};
 
     fn strict_proxy_profile() -> ParserProfile {
         let mut p = ParserProfile::strict("strictproxy");
@@ -307,6 +140,22 @@ mod tests {
         let mut out = Vec::new();
         let _ = s.read_to_end(&mut out);
         out
+    }
+
+    /// The same connection without sockets: the proxy machine relays
+    /// each forwarded message to an echo machine. Returns the downstream
+    /// bytes, the log, and the messages the echo received.
+    fn machine_run(config: &NetProxyConfig, bytes: &[u8]) -> (Vec<u8>, ProxyConnLog, Vec<Vec<u8>>) {
+        let proxy = Proxy::new(strict_proxy_profile());
+        let mut relayed = Vec::new();
+        let inputs = vec![Input::Read(bytes), Input::Eof];
+        let (wire, log) = drive(crate::conn::Proxy::new(config), &proxy, inputs, |message| {
+            let (response, log) =
+                drive(Echo::new(), &(), vec![Input::Read(message), Input::Eof], |_| Err(()));
+            relayed.extend(log);
+            Ok(response)
+        });
+        (wire, log.expect("closed connections log"), relayed)
     }
 
     #[test]
@@ -329,6 +178,11 @@ mod tests {
         let expected: Vec<Vec<u8>> =
             in_process.iter().filter_map(|r| r.action.forwarded().map(<[u8]>::to_vec)).collect();
         assert_eq!(records, expected);
+
+        let (wire, log, relayed) = machine_run(&NetProxyConfig::new(echo.addr()), bytes);
+        assert_eq!((log.results, log.teardown), (in_process, Teardown::Fin));
+        assert_eq!(relayed, expected);
+        assert_eq!(wire, raw, "socket and machine runs answer byte-identically");
     }
 
     #[test]
@@ -336,9 +190,15 @@ mod tests {
         let echo = NetEcho::spawn(Duration::from_secs(1)).unwrap();
         let proxy =
             NetProxy::spawn(strict_proxy_profile(), NetProxyConfig::new(echo.addr())).unwrap();
-        let raw = exchange(proxy.addr(), b"GET / HTTP/1.1\r\nHost : bad\r\n\r\n");
+        let bytes = b"GET / HTTP/1.1\r\nHost : bad\r\n\r\n";
+        let raw = exchange(proxy.addr(), bytes);
         assert!(String::from_utf8_lossy(&raw).starts_with("HTTP/1.1 400"), "{raw:?}");
         assert!(echo.take_records().is_empty());
+
+        let (wire, log, relayed) = machine_run(&NetProxyConfig::new(echo.addr()), bytes);
+        assert_eq!(log.results, Proxy::new(strict_proxy_profile()).forward_stream(bytes));
+        assert!(relayed.is_empty());
+        assert_eq!(wire, raw);
     }
 
     #[test]
@@ -346,16 +206,20 @@ mod tests {
         let echo = NetEcho::spawn(Duration::from_secs(1)).unwrap();
         let decision = FaultDecision { kind: FaultKind::ConnReset, salt: 99 };
         let config = NetProxyConfig { fault: Some(decision), ..NetProxyConfig::new(echo.addr()) };
-        let proxy = NetProxy::spawn(strict_proxy_profile(), config).unwrap();
+        let proxy = NetProxy::spawn(strict_proxy_profile(), config.clone()).unwrap();
         let bytes = b"GET /a HTTP/1.1\r\nHost: h\r\n\r\nGET /b HTTP/1.1\r\nHost: h\r\n\r\n";
         exchange(proxy.addr(), bytes);
         let logs = proxy.take_logs();
         assert_eq!(logs[0].results.len(), 1, "drop-rest stops the stream");
         assert_eq!(logs[0].teardown, Teardown::Abort);
         let forwarded = logs[0].results[0].action.forwarded().unwrap();
-        let clean = Proxy::new(strict_proxy_profile()).forward(bytes);
-        let clean_bytes = clean.action.forwarded().unwrap();
+        let clean = Proxy::new(strict_proxy_profile()).forward_stream(bytes);
+        let clean_bytes = clean[0].action.forwarded().unwrap();
         assert_eq!(forwarded, &clean_bytes[..decision.reset_point(clean_bytes.len())]);
         assert_eq!(echo.take_records(), vec![forwarded.to_vec()]);
+
+        let (_, log, relayed) = machine_run(&config, bytes);
+        assert_eq!((&log.results, log.teardown), (&logs[0].results, Teardown::Abort));
+        assert_eq!(relayed, vec![forwarded.to_vec()]);
     }
 }

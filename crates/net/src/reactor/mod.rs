@@ -2,13 +2,12 @@
 //!
 //! One [`Reactor`] owns one epoll instance and one loop thread that
 //! multiplexes every socket the async testbed touches: origin/proxy/echo
-//! listeners, their accepted connections, upstream relay connections,
-//! and the client side of every in-flight exchange. Each connection is a
-//! small state machine ported line-for-line from the blocking handlers
-//! in [`crate::server`], [`crate::proxy`], [`crate::echo`], and
-//! [`crate::client`] — the parity the cross-transport consistency gate
-//! asserts comes from running the *same* parse/finalize/fault logic,
-//! just cooperatively instead of a thread per socket.
+//! listeners, their accepted connections, and the client side of every
+//! in-flight exchange (a proxy's upstream relay is one of those). Each
+//! accepted connection drives the shared `conn` machines — the same
+//! origin, proxy and echo logic the blocking listeners run — so the two
+//! transports agree by construction: the loop only moves bytes,
+//! deadlines and relay results between sockets and machines.
 //!
 //! Design points:
 //!
@@ -42,7 +41,7 @@ pub mod sys;
 pub mod wheel;
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::rc::Rc;
@@ -51,19 +50,15 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use hdiff_servers::fault::FaultKind;
-use hdiff_servers::{
-    EchoServer, ForwardAction, ParserProfile, Proxy, ProxyResult, Server, ServerReply,
-};
+use hdiff_servers::{ParserProfile, Proxy, Server};
 use hdiff_wire::parse_response;
 
+use crate::blocking::CHUNK;
 use crate::client::SendMode;
+use crate::conn::{self, Input, Machine, Step};
 use crate::error::NetError;
 use crate::proxy::{NetProxyConfig, ProxyConnLog};
-use crate::server::{
-    apply_reply_fault, incomplete_reason, is_final, ConnectionLog, NetServerConfig, ServerFault,
-    Teardown,
-};
+use crate::server::{ConnectionLog, NetServerConfig};
 
 use sys::{Epoll, EpollEvent, EPOLLET, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use wheel::Wheel;
@@ -74,9 +69,6 @@ const WAKE_TOKEN: u64 = u64::MAX;
 /// Maximum outbound connects initiated per loop iteration (see module
 /// docs: must stay below the listen backlog).
 const CONNECT_BURST: usize = 64;
-
-/// Read chunk size, matching the blocking handlers.
-const CHUNK: usize = 4096;
 
 /// Idle epoll wait cap when no deadline is armed.
 const IDLE_WAIT_MS: u64 = 100;
@@ -236,14 +228,12 @@ enum Cmd {
         server: Server,
         config: NetServerConfig,
         record: bool,
-        name: String,
         ack: Sender<ListenerId>,
     },
     AddProxy {
         listener: TcpListener,
         proxy: Proxy,
         config: NetProxyConfig,
-        name: String,
         ack: Sender<ListenerId>,
     },
     AddEcho {
@@ -278,110 +268,98 @@ enum Cmd {
 // Loop-side state.
 // ---------------------------------------------------------------------------
 
-struct OriginListener {
+/// A hosted listener of one role.
+struct Listener<M: Machine> {
     listener: TcpListener,
-    server: Rc<Server>,
-    config: Rc<NetServerConfig>,
-    record: bool,
-    logs: Vec<ConnectionLog>,
-    #[allow(dead_code)]
-    name: String,
-}
-
-struct ProxyListener {
-    listener: TcpListener,
-    proxy: Rc<Proxy>,
-    config: Rc<NetProxyConfig>,
-    logs: Vec<ProxyConnLog>,
-    #[allow(dead_code)]
-    name: String,
-}
-
-struct EchoListener {
-    listener: TcpListener,
+    host: Rc<M::Host>,
+    /// A fresh machine, cloned for every accepted connection.
+    fresh: M,
     read_timeout: Duration,
+    /// Where relays go (proxy listeners only).
+    upstream: Option<SocketAddr>,
+    /// Logs no paired exchange claimed.
+    logs: Vec<ConnLog>,
 }
 
-/// Origin-side fault phase for the two whole-connection faults.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum OriginFaultPhase {
-    /// No whole-connection fault; run the normal parse loop.
-    None,
-    /// `CloseNoReply`: waiting for the first bytes, then abort.
-    AwaitAbort,
-    /// `Stall`: log already pushed, draining quietly until EOF.
-    Stalling,
-}
-
-struct OriginConn {
+/// An accepted connection: its stream, its machine, the machine's last
+/// step, an output cursor and a wheel sequence number.
+struct Served<M: Machine> {
     stream: TcpStream,
-    server: Rc<Server>,
-    config: Rc<NetServerConfig>,
-    record: bool,
+    machine: M,
+    host: Rc<M::Host>,
+    /// The listener's slab index; with `peer`, the pairing-ticket key.
     owner: usize,
     peer: SocketAddr,
-    buf: Vec<u8>,
-    pos: usize,
-    replies: Vec<ServerReply>,
-    bytes_out: usize,
-    eof: bool,
-    teardown: Teardown,
-    out: Vec<u8>,
+    read_timeout: Duration,
+    upstream: Option<SocketAddr>,
+    /// `Step::Relay` with no bytes left means the relay is in flight.
+    step: Step,
     out_pos: usize,
-    closing: bool,
-    finalized: bool,
-    fault_phase: OriginFaultPhase,
     seq: u64,
 }
 
-struct PendingRelay {
-    result: ProxyResult,
-    consumed: usize,
-    rejected: bool,
-    drop_rest: bool,
+/// A finished connection log, as the loop pairs or keeps it.
+enum ConnLog {
+    Server(ConnectionLog),
+    Proxy(ProxyConnLog),
 }
 
-struct ProxyConn {
-    stream: TcpStream,
-    proxy: Rc<Proxy>,
-    config: Rc<NetProxyConfig>,
-    owner: usize,
-    peer: SocketAddr,
-    buf: Vec<u8>,
-    pos: usize,
-    results: Vec<ProxyResult>,
-    eof: bool,
-    teardown: Teardown,
-    out: Vec<u8>,
-    out_pos: usize,
-    closing: bool,
-    relay: Option<PendingRelay>,
-    seq: u64,
+/// A role the loop hosts: the slab entries its listener and connections
+/// live in, and what becomes of its logs.
+trait Role: Machine + Clone + Sized {
+    fn listening(l: Box<Listener<Self>>) -> Entry;
+    fn served(c: Box<Served<Self>>) -> Entry;
+    /// The log as the loop keeps it; `None` drops it.
+    fn keep(log: Self::Log) -> Option<ConnLog>;
 }
 
-struct UpstreamConn {
-    stream: TcpStream,
-    /// Slab index of the proxy connection awaiting this relay.
-    owner: usize,
-    out: Vec<u8>,
-    out_pos: usize,
-    fin_sent: bool,
-    resp: Vec<u8>,
-    seq: u64,
+impl Role for conn::Origin {
+    fn listening(l: Box<Listener<Self>>) -> Entry {
+        Entry::OriginListener(l)
+    }
+    fn served(c: Box<Served<Self>>) -> Entry {
+        Entry::Origin(c)
+    }
+    fn keep(log: ConnectionLog) -> Option<ConnLog> {
+        Some(ConnLog::Server(log))
+    }
 }
 
-struct EchoConn {
-    stream: TcpStream,
-    buf: Vec<u8>,
-    out: Vec<u8>,
-    out_pos: usize,
-    responded: bool,
-    seq: u64,
+impl Role for conn::Proxy {
+    fn listening(l: Box<Listener<Self>>) -> Entry {
+        Entry::ProxyListener(l)
+    }
+    fn served(c: Box<Served<Self>>) -> Entry {
+        Entry::ProxyDown(c)
+    }
+    fn keep(log: ProxyConnLog) -> Option<ConnLog> {
+        Some(ConnLog::Proxy(log))
+    }
+}
+
+impl Role for conn::Echo {
+    fn listening(l: Box<Listener<Self>>) -> Entry {
+        Entry::EchoListener(l)
+    }
+    fn served(c: Box<Served<Self>>) -> Entry {
+        Entry::EchoConn(c)
+    }
+    fn keep(_: Vec<u8>) -> Option<ConnLog> {
+        None // the hosted echo records nothing
+    }
+}
+
+/// Who receives an exchange's result.
+#[derive(Debug, Clone, Copy)]
+enum Sink {
+    /// A submitted job's output slot.
+    Job { batch: usize, job: usize },
+    /// The proxy connection (slab index) whose relay this is.
+    Relay(usize),
 }
 
 struct ExchangeState {
-    batch: usize,
-    job: usize,
+    sink: Sink,
     out: Vec<u8>,
     out_pos: usize,
     fin_sent: bool,
@@ -428,13 +406,12 @@ struct ClientConn {
 }
 
 enum Entry {
-    OriginListener(OriginListener),
-    ProxyListener(ProxyListener),
-    EchoListener(EchoListener),
-    Origin(OriginConn),
-    ProxyDown(Box<ProxyConn>),
-    Upstream(UpstreamConn),
-    EchoConn(EchoConn),
+    OriginListener(Box<Listener<conn::Origin>>),
+    ProxyListener(Box<Listener<conn::Proxy>>),
+    EchoListener(Box<Listener<conn::Echo>>),
+    Origin(Box<Served<conn::Origin>>),
+    ProxyDown(Box<Served<conn::Proxy>>),
+    EchoConn(Box<Served<conn::Echo>>),
     Client(ClientConn),
 }
 
@@ -447,15 +424,13 @@ struct BatchState {
     outputs: Vec<Option<JobOutput>>,
     remaining: usize,
     done: Sender<Vec<JobOutput>>,
-    pending_server_logs: HashMap<usize, ConnectionLog>,
-    pending_proxy_logs: HashMap<usize, ProxyConnLog>,
+    pending_logs: HashMap<usize, ConnLog>,
 }
 
 enum ConnectIntent {
-    Exchange { batch: usize, job: usize, spec: ExchangeSpec, retried: bool },
+    Exchange { sink: Sink, spec: ExchangeSpec, retried: bool },
     Drive { batch: usize, job: usize, spec: DriveSpec },
     Idle { addr: SocketAddr },
-    Upstream { owner: usize, addr: SocketAddr, bytes: Vec<u8>, read_timeout: Duration },
 }
 
 enum Wake {
@@ -485,8 +460,8 @@ fn drain_read(stream: &mut TcpStream, buf: &mut Vec<u8>) -> ReadOutcome {
                 buf.extend_from_slice(&chunk[..n]);
                 any = true;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return ReadOutcome::More(any),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return ReadOutcome::More(any),
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => return ReadOutcome::Error,
         }
     }
@@ -504,8 +479,8 @@ fn drain_write(stream: &mut TcpStream, out: &[u8], pos: &mut usize) -> WriteOutc
         match stream.write(&out[*pos..]) {
             Ok(0) => return WriteOutcome::Error,
             Ok(n) => *pos += n,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return WriteOutcome::Partial,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return WriteOutcome::Partial,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => return WriteOutcome::Error,
         }
     }
@@ -515,8 +490,8 @@ fn drain_write(stream: &mut TcpStream, out: &[u8], pos: &mut usize) -> WriteOutc
 /// Flattens a [`SendMode`] into the exact bytes an exchange puts on the
 /// wire. Segment boundaries are not reproduced as separate writes: the
 /// blocking client emits its segments back-to-back with no pauses, so
-/// coalescing is already possible there, and the servers' finalization
-/// rule (`is_final`) makes outcomes depend only on the total stream.
+/// coalescing is already possible there, and the machines' finalization
+/// rule makes outcomes depend only on the total stream.
 fn mode_bytes(bytes: &[u8], mode: &SendMode) -> Vec<u8> {
     match mode {
         SendMode::Whole | SendMode::Segmented(_) => bytes.to_vec(),
@@ -662,39 +637,18 @@ impl EventLoop {
 
     fn handle_cmd(&mut self, cmd: Cmd) {
         match cmd {
-            Cmd::AddOrigin { listener, server, config, record, name, ack } => {
-                let _ = listener.set_nonblocking(true);
-                let fd = listener.as_raw_fd();
-                let idx = self.insert(Entry::OriginListener(OriginListener {
-                    listener,
-                    server: Rc::new(server),
-                    config: Rc::new(config),
-                    record,
-                    logs: Vec::new(),
-                    name,
-                }));
-                let _ = self.register(fd, idx);
-                let _ = ack.send(ListenerId(self.token(idx)));
+            Cmd::AddOrigin { listener, server, config, record, ack } => {
+                let fresh = conn::Origin::new(&config, record);
+                let host = Rc::new(server);
+                self.listen(listener, host, fresh, config.read_timeout, None, ack);
             }
-            Cmd::AddProxy { listener, proxy, config, name, ack } => {
-                let _ = listener.set_nonblocking(true);
-                let fd = listener.as_raw_fd();
-                let idx = self.insert(Entry::ProxyListener(ProxyListener {
-                    listener,
-                    proxy: Rc::new(proxy),
-                    config: Rc::new(config),
-                    logs: Vec::new(),
-                    name,
-                }));
-                let _ = self.register(fd, idx);
-                let _ = ack.send(ListenerId(self.token(idx)));
+            Cmd::AddProxy { listener, proxy, config, ack } => {
+                let fresh = conn::Proxy::new(&config);
+                let host = Rc::new(proxy);
+                self.listen(listener, host, fresh, config.read_timeout, Some(config.upstream), ack);
             }
             Cmd::AddEcho { listener, read_timeout, ack } => {
-                let _ = listener.set_nonblocking(true);
-                let fd = listener.as_raw_fd();
-                let idx = self.insert(Entry::EchoListener(EchoListener { listener, read_timeout }));
-                let _ = self.register(fd, idx);
-                let _ = ack.send(ListenerId(self.token(idx)));
+                self.listen(listener, Rc::new(()), conn::Echo::new(), read_timeout, None, ack);
             }
             Cmd::Warm { addr, depth, ack } => {
                 self.warm_targets.insert(addr, depth);
@@ -706,29 +660,49 @@ impl EventLoop {
             }
             Cmd::Submit { jobs, done } => self.handle_submit(jobs, done),
             Cmd::TakeServerLogs { id, ack } => {
-                let logs = match self.resolve(id) {
-                    Some(idx) => match self.slab[idx].entry.as_mut() {
-                        Some(Entry::OriginListener(l)) => std::mem::take(&mut l.logs),
-                        _ => Vec::new(),
-                    },
-                    None => Vec::new(),
-                };
-                let _ = ack.send(logs);
+                let logs = self.take_logs(id).into_iter().filter_map(|log| match log {
+                    ConnLog::Server(log) => Some(log),
+                    ConnLog::Proxy(_) => None,
+                });
+                let _ = ack.send(logs.collect());
             }
             Cmd::TakeProxyLogs { id, ack } => {
-                let logs = match self.resolve(id) {
-                    Some(idx) => match self.slab[idx].entry.as_mut() {
-                        Some(Entry::ProxyListener(l)) => std::mem::take(&mut l.logs),
-                        _ => Vec::new(),
-                    },
-                    None => Vec::new(),
-                };
-                let _ = ack.send(logs);
+                let logs = self.take_logs(id).into_iter().filter_map(|log| match log {
+                    ConnLog::Proxy(log) => Some(log),
+                    ConnLog::Server(_) => None,
+                });
+                let _ = ack.send(logs.collect());
             }
             Cmd::Stats { ack } => {
                 let _ = ack.send(self.stats);
             }
             Cmd::Shutdown => {}
+        }
+    }
+
+    fn listen<M: Role>(
+        &mut self,
+        listener: TcpListener,
+        host: Rc<M::Host>,
+        fresh: M,
+        read_timeout: Duration,
+        upstream: Option<SocketAddr>,
+        ack: Sender<ListenerId>,
+    ) {
+        let _ = listener.set_nonblocking(true);
+        let fd = listener.as_raw_fd();
+        let l = Listener { listener, host, fresh, read_timeout, upstream, logs: Vec::new() };
+        let idx = self.insert(M::listening(Box::new(l)));
+        let _ = self.register(fd, idx);
+        let _ = ack.send(ListenerId(self.token(idx)));
+    }
+
+    fn take_logs(&mut self, id: ListenerId) -> Vec<ConnLog> {
+        let Some(idx) = self.resolve(id) else { return Vec::new() };
+        match self.slab[idx].entry.as_mut() {
+            Some(Entry::OriginListener(l)) => std::mem::take(&mut l.logs),
+            Some(Entry::ProxyListener(l)) => std::mem::take(&mut l.logs),
+            _ => Vec::new(),
         }
     }
 
@@ -756,8 +730,7 @@ impl EventLoop {
             outputs: vec![None; jobs.len()],
             remaining: jobs.len(),
             done,
-            pending_server_logs: HashMap::new(),
-            pending_proxy_logs: HashMap::new(),
+            pending_logs: HashMap::new(),
         });
         if jobs.is_empty() {
             self.finish_batch_if_done(batch);
@@ -774,17 +747,18 @@ impl EventLoop {
     }
 
     fn submit_exchange(&mut self, batch: usize, job: usize, spec: ExchangeSpec, retried: bool) {
+        let sink = Sink::Job { batch, job };
         if spec.warm && !retried {
             if let Some(idx) = self.claim_idle(spec.addr) {
                 self.stats.pool_hits += 1;
                 self.replenish(spec.addr);
-                self.assign_exchange(idx, batch, job, spec, true, false);
+                self.assign_exchange(idx, sink, spec, true, false);
                 return;
             }
             self.stats.pool_misses += 1;
             self.replenish(spec.addr);
         }
-        self.pending_connects.push_back(ConnectIntent::Exchange { batch, job, spec, retried });
+        self.pending_connects.push_back(ConnectIntent::Exchange { sink, spec, retried });
     }
 
     /// Pops idle pooled connections for `addr` until a live one is found.
@@ -816,8 +790,7 @@ impl EventLoop {
     fn assign_exchange(
         &mut self,
         idx: usize,
-        batch: usize,
-        job: usize,
+        sink: Sink,
         spec: ExchangeSpec,
         reused: bool,
         retried: bool,
@@ -826,8 +799,7 @@ impl EventLoop {
         let seq = self.next_seq();
         let read_timeout = spec.read_timeout;
         let state = ExchangeState {
-            batch,
-            job,
+            sink,
             out: mode_bytes(&spec.bytes, &spec.mode),
             out_pos: 0,
             fin_sent: false,
@@ -842,7 +814,9 @@ impl EventLoop {
         if let Some(Entry::Client(c)) = self.slab[idx].entry.as_mut() {
             c.kind = ClientKind::Exchange(Box::new(state));
             c.seq = seq;
-            if let (Some(owner), Ok(local)) = (pair, c.stream.local_addr()) {
+            if let (Sink::Job { batch, job }, Some(owner), Ok(local)) =
+                (sink, pair, c.stream.local_addr())
+            {
                 self.tickets.insert((owner, local), (batch, job));
             }
         }
@@ -854,16 +828,19 @@ impl EventLoop {
 
     fn do_connect(&mut self, intent: ConnectIntent) {
         match intent {
-            ConnectIntent::Exchange { batch, job, spec, retried } => match self.open(spec.addr) {
-                Ok(idx) => self.assign_exchange(idx, batch, job, spec, false, retried),
-                Err(e) => {
-                    let out = ExchangeOutput {
-                        error: Some(NetError::connect(e)),
-                        retried,
-                        ..ExchangeOutput::default()
-                    };
-                    self.complete(batch, job, JobOutput::Exchange(out));
-                }
+            ConnectIntent::Exchange { sink, spec, retried } => match self.open(spec.addr) {
+                Ok(idx) => self.assign_exchange(idx, sink, spec, false, retried),
+                Err(e) => match sink {
+                    Sink::Relay(owner) => self.agenda.push_back(Wake::RelayDone(owner, Err(()))),
+                    Sink::Job { batch, job } => {
+                        let out = ExchangeOutput {
+                            error: Some(NetError::connect(e)),
+                            retried,
+                            ..ExchangeOutput::default()
+                        };
+                        self.complete(batch, job, JobOutput::Exchange(out));
+                    }
+                },
             },
             ConnectIntent::Drive { batch, job, spec } => match self.open(spec.addr) {
                 Ok(idx) => {
@@ -916,31 +893,6 @@ impl EventLoop {
                     }
                 }
             }
-            ConnectIntent::Upstream { owner, addr, bytes, read_timeout } => {
-                match TcpStream::connect(addr) {
-                    Ok(stream) => {
-                        let _ = stream.set_nonblocking(true);
-                        let _ = stream.set_nodelay(true);
-                        self.stats.conns_opened += 1;
-                        let fd = stream.as_raw_fd();
-                        let seq = self.next_seq();
-                        let idx = self.insert(Entry::Upstream(UpstreamConn {
-                            stream,
-                            owner,
-                            out: bytes,
-                            out_pos: 0,
-                            fin_sent: false,
-                            resp: Vec::new(),
-                            seq,
-                        }));
-                        let _ = self.register(fd, idx);
-                        self.arm(idx, seq, read_timeout);
-                    }
-                    Err(_) => {
-                        self.agenda.push_back(Wake::RelayDone(owner, Err(())));
-                    }
-                }
-            }
         }
     }
 
@@ -964,734 +916,201 @@ impl EventLoop {
     // -- dispatch --------------------------------------------------------
 
     fn dispatch(&mut self, wake: Wake) {
-        let (idx, deadline_seq, relay) = match wake {
+        let idx = match wake {
             Wake::Io(token) => {
                 let idx = (token & 0xffff_ffff) as usize;
                 let gen = (token >> 32) as u32;
                 if idx >= self.slab.len() || self.slab[idx].gen != gen {
                     return;
                 }
-                (idx, None, None)
+                idx
             }
-            Wake::Resume(idx) => (idx, None, None),
-            Wake::Deadline(idx, seq) => (idx, Some(seq), None),
-            Wake::RelayDone(idx, result) => (idx, None, Some(result)),
+            Wake::Resume(idx) | Wake::Deadline(idx, _) | Wake::RelayDone(idx, _) => idx,
         };
         let Some(entry) = self.slab.get_mut(idx).and_then(|s| s.entry.take()) else {
             return;
         };
-        let keep = match entry {
-            Entry::OriginListener(mut l) => {
-                self.accept_origin(idx, &mut l);
-                self.slab[idx].entry = Some(Entry::OriginListener(l));
-                return;
-            }
-            Entry::ProxyListener(mut l) => {
-                self.accept_proxy(idx, &mut l);
-                self.slab[idx].entry = Some(Entry::ProxyListener(l));
-                return;
-            }
-            Entry::EchoListener(mut l) => {
-                self.accept_echo(&mut l);
-                self.slab[idx].entry = Some(Entry::EchoListener(l));
-                return;
-            }
-            Entry::Origin(mut c) => {
-                let keep = if let Some(seq) = deadline_seq {
-                    if seq != c.seq {
-                        true
-                    } else {
-                        self.stats.deadline_fires += 1;
-                        self.origin_deadline(&mut c)
-                    }
-                } else {
-                    self.origin_step(idx, &mut c)
-                };
-                if keep {
-                    self.slab[idx].entry = Some(Entry::Origin(c));
-                }
-                keep
-            }
-            Entry::ProxyDown(mut c) => {
-                let keep = if let Some(seq) = deadline_seq {
-                    if seq != c.seq {
-                        true
-                    } else {
-                        self.stats.deadline_fires += 1;
-                        self.proxy_deadline(&mut c)
-                    }
-                } else if let Some(result) = relay {
-                    self.proxy_relay_done(idx, &mut c, result)
-                } else {
-                    self.proxy_step(idx, &mut c)
-                };
-                if keep {
-                    self.slab[idx].entry = Some(Entry::ProxyDown(c));
-                }
-                keep
-            }
-            Entry::Upstream(mut c) => {
-                let keep = if let Some(seq) = deadline_seq {
-                    if seq != c.seq {
-                        true
-                    } else {
-                        self.stats.deadline_fires += 1;
-                        self.agenda.push_back(Wake::RelayDone(c.owner, Err(())));
-                        false
-                    }
-                } else {
-                    self.upstream_step(&mut c)
-                };
-                if keep {
-                    self.slab[idx].entry = Some(Entry::Upstream(c));
-                }
-                keep
-            }
-            Entry::EchoConn(mut c) => {
-                let keep = if let Some(seq) = deadline_seq {
-                    if seq != c.seq {
-                        true
-                    } else {
-                        self.stats.deadline_fires += 1;
-                        self.echo_deadline(&mut c)
-                    }
-                } else {
-                    self.echo_step(&mut c)
-                };
-                if keep {
-                    self.slab[idx].entry = Some(Entry::EchoConn(c));
-                }
-                keep
-            }
+        let open = match entry {
+            Entry::OriginListener(l) => return self.accept(idx, l),
+            Entry::ProxyListener(l) => return self.accept(idx, l),
+            Entry::EchoListener(l) => return self.accept(idx, l),
+            Entry::Origin(c) => self.serve(idx, c, wake),
+            Entry::ProxyDown(c) => self.serve(idx, c, wake),
+            Entry::EchoConn(c) => self.serve(idx, c, wake),
             Entry::Client(mut c) => {
-                let keep = if let Some(seq) = deadline_seq {
-                    if seq != c.seq {
-                        true
-                    } else {
+                let open = match wake {
+                    Wake::Deadline(_, seq) if seq != c.seq => true,
+                    Wake::Deadline(..) => {
                         self.stats.deadline_fires += 1;
                         self.client_deadline(&mut c)
                     }
-                } else {
-                    self.client_step(idx, &mut c)
+                    _ => self.client_step(idx, &mut c),
                 };
-                if keep {
+                if open {
                     self.slab[idx].entry = Some(Entry::Client(c));
                 }
-                keep
+                open
             }
         };
-        if !keep {
+        if !open {
             self.stats.conns_closed += 1;
             self.release(idx);
         }
     }
 
-    // -- accept ----------------------------------------------------------
+    // -- served connections ----------------------------------------------
 
-    fn accept_origin(&mut self, owner: usize, l: &mut OriginListener) {
-        loop {
-            match l.listener.accept() {
-                Ok((stream, peer)) => {
-                    let _ = stream.set_nonblocking(true);
-                    let _ = stream.set_nodelay(true);
-                    self.stats.conns_opened += 1;
-                    let fd = stream.as_raw_fd();
-                    let seq = self.next_seq();
-                    // Both whole-connection faults start by waiting for
-                    // the first bytes; which one applies is re-checked
-                    // when the wait ends.
-                    let fault_phase = match l.config.fault {
-                        Some(ServerFault::CloseNoReply) | Some(ServerFault::Stall) => {
-                            OriginFaultPhase::AwaitAbort
-                        }
-                        _ => OriginFaultPhase::None,
-                    };
-                    let read_timeout = l.config.read_timeout;
-                    let idx = self.insert(Entry::Origin(OriginConn {
-                        stream,
-                        server: Rc::clone(&l.server),
-                        config: Rc::clone(&l.config),
-                        record: l.record,
-                        owner,
-                        peer,
-                        buf: Vec::new(),
-                        pos: 0,
-                        replies: Vec::new(),
-                        bytes_out: 0,
-                        eof: false,
-                        teardown: Teardown::Fin,
-                        out: Vec::new(),
-                        out_pos: 0,
-                        closing: false,
-                        finalized: false,
-                        fault_phase,
-                        seq,
-                    }));
-                    let _ = self.register(fd, idx);
-                    self.arm(idx, seq, read_timeout);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
+    fn accept<M: Role>(&mut self, owner: usize, l: Box<Listener<M>>) {
+        while let Ok((stream, peer)) = l.listener.accept() {
+            let _ = stream.set_nonblocking(true);
+            let _ = stream.set_nodelay(true);
+            self.stats.conns_opened += 1;
+            let fd = stream.as_raw_fd();
+            let seq = self.next_seq();
+            let idx = self.insert(M::served(Box::new(Served {
+                stream,
+                machine: l.fresh.clone(),
+                host: Rc::clone(&l.host),
+                owner,
+                peer,
+                read_timeout: l.read_timeout,
+                upstream: l.upstream,
+                step: Step::Read,
+                out_pos: 0,
+                seq,
+            })));
+            let _ = self.register(fd, idx);
+            self.arm(idx, seq, l.read_timeout);
         }
+        self.slab[owner].entry = Some(M::listening(l));
     }
 
-    fn accept_proxy(&mut self, owner: usize, l: &mut ProxyListener) {
-        loop {
-            match l.listener.accept() {
-                Ok((stream, peer)) => {
-                    let _ = stream.set_nonblocking(true);
-                    let _ = stream.set_nodelay(true);
-                    self.stats.conns_opened += 1;
-                    let fd = stream.as_raw_fd();
-                    let seq = self.next_seq();
-                    let read_timeout = l.config.read_timeout;
-                    let idx = self.insert(Entry::ProxyDown(Box::new(ProxyConn {
-                        stream,
-                        proxy: Rc::clone(&l.proxy),
-                        config: Rc::clone(&l.config),
-                        owner,
-                        peer,
-                        buf: Vec::new(),
-                        pos: 0,
-                        results: Vec::new(),
-                        eof: false,
-                        teardown: Teardown::Fin,
-                        out: Vec::new(),
-                        out_pos: 0,
-                        closing: false,
-                        relay: None,
-                        seq,
-                    })));
-                    let _ = self.register(fd, idx);
-                    self.arm(idx, seq, read_timeout);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
+    /// Runs a served connection on `wake`; returns whether it stays open.
+    fn serve<M: Role>(&mut self, idx: usize, mut c: Box<Served<M>>, wake: Wake) -> bool {
+        let open = self.step_served(idx, &mut c, wake);
+        if open {
+            self.slab[idx].entry = Some(M::served(c));
         }
+        open
     }
 
-    fn accept_echo(&mut self, l: &mut EchoListener) {
-        loop {
-            match l.listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nonblocking(true);
-                    let _ = stream.set_nodelay(true);
-                    self.stats.conns_opened += 1;
-                    let fd = stream.as_raw_fd();
-                    let seq = self.next_seq();
-                    let read_timeout = l.read_timeout;
-                    let idx = self.insert(Entry::EchoConn(EchoConn {
-                        stream,
-                        buf: Vec::new(),
-                        out: Vec::new(),
-                        out_pos: 0,
-                        responded: false,
-                        seq,
-                    }));
-                    let _ = self.register(fd, idx);
-                    self.arm(idx, seq, read_timeout);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
-        }
-    }
-
-    // -- origin connection state machine ---------------------------------
-
-    /// Delivers an origin connection log to its paired exchange, or to
-    /// the listener's accumulated logs.
-    fn deliver_server_log(&mut self, owner: usize, peer: SocketAddr, log: ConnectionLog) {
-        if let Some((batch, job)) = self.tickets.remove(&(owner, peer)) {
-            if let Some(Some(b)) = self.batches.get_mut(batch) {
-                b.pending_server_logs.insert(job, log);
-                return;
-            }
-        }
-        if let Some(Entry::OriginListener(l)) =
-            self.slab.get_mut(owner).and_then(|s| s.entry.as_mut())
-        {
-            l.logs.push(log);
-        }
-    }
-
-    fn deliver_proxy_log(&mut self, owner: usize, peer: SocketAddr, log: ProxyConnLog) {
-        if let Some((batch, job)) = self.tickets.remove(&(owner, peer)) {
-            if let Some(Some(b)) = self.batches.get_mut(batch) {
-                b.pending_proxy_logs.insert(job, log);
-                return;
-            }
-        }
-        if let Some(Entry::ProxyListener(l)) =
-            self.slab.get_mut(owner).and_then(|s| s.entry.as_mut())
-        {
-            l.logs.push(log);
-        }
-    }
-
-    fn origin_finalize(&mut self, c: &mut OriginConn) {
-        if c.finalized {
-            return;
-        }
-        c.finalized = true;
-        let replies = if c.record { std::mem::take(&mut c.replies) } else { Vec::new() };
-        let log = ConnectionLog {
-            replies,
-            bytes_in: c.buf.len(),
-            bytes_out: c.bytes_out,
-            teardown: c.teardown,
-        };
-        self.deliver_server_log(c.owner, c.peer, log);
-    }
-
-    /// Returns `true` to keep the connection alive.
-    fn origin_step(&mut self, idx: usize, c: &mut OriginConn) -> bool {
-        match c.fault_phase {
-            OriginFaultPhase::AwaitAbort => return self.origin_fault_await(c),
-            OriginFaultPhase::Stalling => {
-                // Drain quietly; close silently on EOF or error.
-                let mut sink = Vec::new();
-                return matches!(drain_read(&mut c.stream, &mut sink), ReadOutcome::More(_));
-            }
-            OriginFaultPhase::None => {}
-        }
-
-        if c.closing {
-            return self.origin_flush_close(c);
-        }
-
+    /// Feeds the wake's input, then writes, reads and feeds until the
+    /// socket would block, a relay is in flight, or the machine closes.
+    fn step_served<M: Role>(&mut self, idx: usize, c: &mut Served<M>, wake: Wake) -> bool {
         let mut progressed = false;
-        match drain_read(&mut c.stream, &mut c.buf) {
-            ReadOutcome::More(any) => progressed = any,
-            ReadOutcome::Eof => c.eof = true,
-            ReadOutcome::Error => {
-                c.teardown = Teardown::Abort;
-                c.closing = true;
+        let mut deadline = false;
+        match wake {
+            Wake::Deadline(_, seq) if seq != c.seq => return true,
+            Wake::Deadline(..) => {
+                self.stats.deadline_fires += 1;
+                deadline = true;
+                c.step = c.machine.feed(&c.host, Input::Deadline);
             }
+            Wake::RelayDone(_, response) => {
+                progressed = true;
+                c.step = c.machine.feed(&c.host, Input::Relay(response));
+            }
+            Wake::Io(_) | Wake::Resume(_) => {}
         }
-
-        if !c.closing {
-            self.origin_parse(c);
-            if !c.closing && (c.eof || c.replies.len() >= c.config.max_messages) {
-                c.closing = true;
+        let mut chunk = [0u8; CHUNK];
+        loop {
+            let out = c.machine.output();
+            match drain_write(&mut c.stream, out, &mut c.out_pos) {
+                WriteOutcome::Flushed => {
+                    out.clear();
+                    c.out_pos = 0;
+                }
+                // A close waits for its flush, unless the deadline
+                // already gave up on it.
+                WriteOutcome::Partial if c.step == Step::Close && !deadline => return true,
+                WriteOutcome::Partial => {}
+                WriteOutcome::Error => {
+                    out.clear();
+                    c.out_pos = 0;
+                    c.step = c.machine.feed(&c.host, Input::WriteError);
+                }
             }
-        }
-
-        if c.closing {
-            return self.origin_flush_close(c);
-        }
-        let out = std::mem::take(&mut c.out);
-        match drain_write(&mut c.stream, &out, &mut c.out_pos) {
-            WriteOutcome::Error => {
-                c.teardown = Teardown::Abort;
-                self.origin_finalize(c);
-                return false;
+            match &mut c.step {
+                Step::Close => {
+                    if let Some(log) = c.machine.finish().and_then(M::keep) {
+                        self.deliver(c.owner, c.peer, log);
+                    }
+                    let _ = c.stream.shutdown(Shutdown::Both);
+                    return false;
+                }
+                Step::Relay(bytes) if bytes.is_empty() => return true,
+                Step::Relay(bytes) => {
+                    let bytes = std::mem::take(bytes);
+                    self.relay(idx, c.upstream, bytes, c.read_timeout);
+                    // The downstream deadline is suspended while the
+                    // relay runs, as in a blocking hop.
+                    c.seq = self.next_seq();
+                    return true;
+                }
+                Step::Hold => {
+                    if let Some(log) = c.machine.finish().and_then(M::keep) {
+                        self.deliver(c.owner, c.peer, log);
+                    }
+                }
+                Step::Read => {}
             }
-            WriteOutcome::Partial => c.out = out,
-            WriteOutcome::Flushed => {
-                c.out = Vec::new();
-                c.out_pos = 0;
-            }
+            let input = match c.stream.read(&mut chunk) {
+                Ok(0) => Input::Eof,
+                Ok(n) => {
+                    progressed = true;
+                    Input::Read(&chunk[..n])
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => Input::ReadError,
+            };
+            c.step = c.machine.feed(&c.host, input);
         }
         if progressed {
             c.seq = self.next_seq();
-            let t = c.config.read_timeout;
-            self.wheel.arm(Instant::now(), idx, c.seq, t);
+            self.arm(idx, c.seq, c.read_timeout);
         }
         true
     }
 
-    /// First-bytes wait shared by the two whole-connection faults.
-    fn origin_fault_await(&mut self, c: &mut OriginConn) -> bool {
-        let outcome = drain_read(&mut c.stream, &mut c.buf);
-        let got = !c.buf.is_empty() || matches!(outcome, ReadOutcome::Eof | ReadOutcome::Error);
-        if !got {
-            return true; // keep waiting for the first bytes
-        }
-        match c.config.fault {
-            Some(ServerFault::Stall) => {
-                c.teardown = Teardown::Stalled;
-                self.origin_finalize(c);
-                c.fault_phase = OriginFaultPhase::Stalling;
-                // Hold the socket open; the client's read deadline is the
-                // observation. EOF/error later closes silently.
-                !matches!(outcome, ReadOutcome::Eof | ReadOutcome::Error)
-            }
-            _ => {
-                // CloseNoReply: abort without a byte.
-                c.teardown = Teardown::Abort;
-                self.origin_finalize(c);
-                false
-            }
-        }
-    }
-
-    fn origin_parse(&mut self, c: &mut OriginConn) {
-        while c.replies.len() < c.config.max_messages && c.pos < c.buf.len() {
-            let reply = c.server.handle(&c.buf[c.pos..]);
-            if !is_final(&reply, c.buf.len() - c.pos, c.eof) {
-                break;
-            }
-            let consumed = reply.interpretation.consumed;
-            let rejected = !reply.interpretation.outcome.is_accept();
-            let reply = apply_reply_fault(&c.server, c.config.fault, reply);
-            let wire = reply.response.to_bytes();
-            c.out.extend_from_slice(&wire);
-            c.bytes_out += wire.len();
-            c.replies.push(reply);
-            if rejected || consumed == 0 {
-                c.closing = true;
-                break;
-            }
-            c.pos += consumed;
-        }
-    }
-
-    fn origin_flush_close(&mut self, c: &mut OriginConn) -> bool {
-        let out = std::mem::take(&mut c.out);
-        match drain_write(&mut c.stream, &out, &mut c.out_pos) {
-            WriteOutcome::Flushed => {
-                self.origin_finalize(c);
-                let _ = c.stream.shutdown(Shutdown::Both);
-                false
-            }
-            WriteOutcome::Partial => {
-                c.out = out;
-                true
-            }
-            WriteOutcome::Error => {
-                c.teardown = Teardown::Abort;
-                self.origin_finalize(c);
-                false
-            }
-        }
-    }
-
-    fn origin_deadline(&mut self, c: &mut OriginConn) -> bool {
-        match c.fault_phase {
-            OriginFaultPhase::Stalling => {
-                // The blocking stall loop exits on its own read timeout.
-                return false;
-            }
-            OriginFaultPhase::AwaitAbort => {
-                c.teardown = if matches!(c.config.fault, Some(ServerFault::Stall)) {
-                    Teardown::Stalled
-                } else {
-                    Teardown::Abort
-                };
-                self.origin_finalize(c);
-                return false;
-            }
-            OriginFaultPhase::None => {}
-        }
-        if c.closing {
-            // Mid-close flush stalled past the read budget; give up.
-            self.origin_finalize(c);
-            return false;
-        }
-        c.teardown = Teardown::TimedOut;
-        self.origin_finalize(c);
-        false
-    }
-
-    // -- proxy connection state machine ----------------------------------
-
-    fn proxy_step(&mut self, idx: usize, c: &mut ProxyConn) -> bool {
-        if c.closing {
-            return self.proxy_flush_close(c);
-        }
-        let mut progressed = false;
-        match drain_read(&mut c.stream, &mut c.buf) {
-            ReadOutcome::More(any) => progressed = any,
-            ReadOutcome::Eof => c.eof = true,
-            ReadOutcome::Error => {
-                c.teardown = Teardown::Abort;
-                c.closing = true;
-            }
-        }
-        if !c.closing && c.relay.is_none() {
-            self.proxy_parse(idx, c);
-            if c.relay.is_none()
-                && !c.closing
-                && (c.eof || c.results.len() >= c.config.max_messages)
-            {
-                c.closing = true;
-            }
-        }
-        if c.closing {
-            return self.proxy_flush_close(c);
-        }
-        let out = std::mem::take(&mut c.out);
-        match drain_write(&mut c.stream, &out, &mut c.out_pos) {
-            WriteOutcome::Error => {
-                c.teardown = Teardown::Abort;
-                self.proxy_finalize(c);
-                return false;
-            }
-            WriteOutcome::Partial => c.out = out,
-            WriteOutcome::Flushed => {
-                c.out = Vec::new();
-                c.out_pos = 0;
-            }
-        }
-        if progressed && c.relay.is_none() {
-            c.seq = self.next_seq();
-            let t = c.config.read_timeout;
-            self.wheel.arm(Instant::now(), idx, c.seq, t);
-        }
-        true
-    }
-
-    fn proxy_parse(&mut self, idx: usize, c: &mut ProxyConn) {
-        while c.relay.is_none()
-            && !c.closing
-            && c.results.len() < c.config.max_messages
-            && c.pos < c.buf.len()
-        {
-            let mut r = c.proxy.forward(&c.buf[c.pos..]);
-            let i = &r.interpretation;
-            let finalizable = c.eof
-                || if i.outcome.is_accept() {
-                    !(i.repaired_chunked && i.consumed >= c.buf.len() - c.pos)
-                } else {
-                    !incomplete_reason(i)
-                };
-            if !finalizable {
-                break;
-            }
-            let consumed = r.interpretation.consumed;
-            let rejected = matches!(r.action, ForwardAction::Rejected(_));
-            let mut drop_rest = false;
-
-            if let (Some(decision), ForwardAction::Forwarded(bytes)) = (c.config.fault, &r.action) {
-                match decision.kind {
-                    FaultKind::ConnReset => {
-                        let cut = decision.reset_point(bytes.len());
-                        r.action = ForwardAction::Forwarded(bytes[..cut].to_vec());
-                        drop_rest = true;
-                    }
-                    FaultKind::GarbleForward => {
-                        r.action = ForwardAction::Forwarded(decision.garble(bytes));
-                    }
-                    FaultKind::StallRead => {
-                        r.action = ForwardAction::Forwarded(Vec::new());
-                        drop_rest = true;
-                    }
-                    _ => {}
-                }
-            }
-
-            match &r.action {
-                ForwardAction::Forwarded(bytes) if !bytes.is_empty() => {
-                    self.pending_connects.push_back(ConnectIntent::Upstream {
-                        owner: idx,
-                        addr: c.config.upstream,
-                        bytes: bytes.clone(),
-                        read_timeout: c.config.read_timeout,
-                    });
-                    // Suspend the downstream deadline for the relay's
-                    // duration, exactly like the blocking hop (which is
-                    // blocked inside `relay_upstream` and cannot time the
-                    // downstream side out).
-                    c.seq = self.next_seq();
-                    c.relay = Some(PendingRelay { result: r, consumed, rejected, drop_rest });
-                    return;
-                }
-                ForwardAction::Forwarded(_) => {
-                    c.results.push(r);
-                    if drop_rest {
-                        c.teardown = Teardown::Abort;
-                    }
-                    if rejected || consumed == 0 || drop_rest {
-                        c.closing = true;
-                        return;
-                    }
-                    c.pos += consumed;
-                }
-                ForwardAction::Rejected(response) => {
-                    c.out.extend_from_slice(&response.to_bytes());
-                    c.results.push(r);
-                    c.closing = true;
-                    return;
-                }
-            }
-        }
-    }
-
-    fn proxy_relay_done(
+    /// Starts a proxy connection's relay: an exchange whose result comes
+    /// back to `owner` as [`Wake::RelayDone`].
+    fn relay(
         &mut self,
-        idx: usize,
-        c: &mut ProxyConn,
-        result: Result<Vec<u8>, ()>,
-    ) -> bool {
-        let Some(pending) = c.relay.take() else { return true };
-        match result {
-            Ok(response) => {
-                c.out.extend_from_slice(&response);
-                let rejected = pending.rejected;
-                let consumed = pending.consumed;
-                let drop_rest = pending.drop_rest;
-                c.results.push(pending.result);
-                if drop_rest {
-                    c.teardown = Teardown::Abort;
-                }
-                if rejected || consumed == 0 || drop_rest {
-                    c.closing = true;
-                } else {
-                    c.pos += consumed;
-                    c.seq = self.next_seq();
-                    let t = c.config.read_timeout;
-                    self.wheel.arm(Instant::now(), idx, c.seq, t);
-                    self.proxy_parse(idx, c);
-                    if c.relay.is_none()
-                        && !c.closing
-                        && (c.eof || c.results.len() >= c.config.max_messages)
-                    {
-                        c.closing = true;
-                    }
-                }
-            }
-            Err(()) => {
-                c.teardown = Teardown::Abort;
-                c.results.push(pending.result);
-                self.proxy_finalize(c);
-                return false;
-            }
-        }
-        if c.closing {
-            return self.proxy_flush_close(c);
-        }
-        let out = std::mem::take(&mut c.out);
-        match drain_write(&mut c.stream, &out, &mut c.out_pos) {
-            WriteOutcome::Error => {
-                c.teardown = Teardown::Abort;
-                self.proxy_finalize(c);
-                false
-            }
-            WriteOutcome::Partial => {
-                c.out = out;
-                true
-            }
-            WriteOutcome::Flushed => {
-                c.out = Vec::new();
-                c.out_pos = 0;
-                true
-            }
-        }
+        owner: usize,
+        upstream: Option<SocketAddr>,
+        bytes: Vec<u8>,
+        read_timeout: Duration,
+    ) {
+        let Some(addr) = upstream else {
+            self.agenda.push_back(Wake::RelayDone(owner, Err(())));
+            return;
+        };
+        let spec = ExchangeSpec {
+            addr,
+            bytes,
+            mode: SendMode::Whole,
+            read_timeout,
+            pair: None,
+            warm: false,
+        };
+        let sink = Sink::Relay(owner);
+        self.pending_connects.push_back(ConnectIntent::Exchange { sink, spec, retried: false });
     }
 
-    fn proxy_finalize(&mut self, c: &mut ProxyConn) {
-        let log = ProxyConnLog { results: std::mem::take(&mut c.results), teardown: c.teardown };
-        self.deliver_proxy_log(c.owner, c.peer, log);
-    }
-
-    fn proxy_flush_close(&mut self, c: &mut ProxyConn) -> bool {
-        let out = std::mem::take(&mut c.out);
-        match drain_write(&mut c.stream, &out, &mut c.out_pos) {
-            WriteOutcome::Flushed => {
-                self.proxy_finalize(c);
-                let _ = c.stream.shutdown(Shutdown::Both);
-                false
-            }
-            WriteOutcome::Partial => {
-                c.out = out;
-                true
-            }
-            WriteOutcome::Error => {
-                c.teardown = Teardown::Abort;
-                self.proxy_finalize(c);
-                false
+    /// Delivers a connection log to its paired exchange, or to the
+    /// listener's accumulated logs.
+    fn deliver(&mut self, owner: usize, peer: SocketAddr, log: ConnLog) {
+        if let Some((batch, job)) = self.tickets.remove(&(owner, peer)) {
+            if let Some(Some(b)) = self.batches.get_mut(batch) {
+                b.pending_logs.insert(job, log);
+                return;
             }
         }
-    }
-
-    fn proxy_deadline(&mut self, c: &mut ProxyConn) -> bool {
-        if c.relay.is_some() {
-            return true; // suspended during a relay; stale by construction
-        }
-        c.teardown = Teardown::TimedOut;
-        self.proxy_finalize(c);
-        false
-    }
-
-    // -- upstream relay connection ---------------------------------------
-
-    fn upstream_step(&mut self, c: &mut UpstreamConn) -> bool {
-        if !c.fin_sent {
-            let out = std::mem::take(&mut c.out);
-            match drain_write(&mut c.stream, &out, &mut c.out_pos) {
-                WriteOutcome::Flushed => {
-                    let _ = c.stream.shutdown(Shutdown::Write);
-                    c.fin_sent = true;
-                }
-                WriteOutcome::Partial => c.out = out,
-                WriteOutcome::Error => {
-                    self.agenda.push_back(Wake::RelayDone(c.owner, Err(())));
-                    return false;
-                }
-            }
-        }
-        match drain_read(&mut c.stream, &mut c.resp) {
-            ReadOutcome::More(_) => true,
-            ReadOutcome::Eof => {
-                self.agenda.push_back(Wake::RelayDone(c.owner, Ok(std::mem::take(&mut c.resp))));
-                false
-            }
-            ReadOutcome::Error => {
-                self.agenda.push_back(Wake::RelayDone(c.owner, Err(())));
-                false
-            }
-        }
-    }
-
-    // -- echo connection -------------------------------------------------
-
-    fn echo_step(&mut self, c: &mut EchoConn) -> bool {
-        if !c.responded {
-            match drain_read(&mut c.stream, &mut c.buf) {
-                ReadOutcome::More(_) => return true,
-                ReadOutcome::Eof | ReadOutcome::Error => {
-                    let response = EchoServer::respond(&c.buf);
-                    c.out = response.to_bytes();
-                    c.responded = true;
-                }
-            }
-        }
-        let out = std::mem::take(&mut c.out);
-        match drain_write(&mut c.stream, &out, &mut c.out_pos) {
-            WriteOutcome::Flushed => {
-                let _ = c.stream.shutdown(Shutdown::Both);
-                false
-            }
-            WriteOutcome::Partial => {
-                c.out = out;
-                true
-            }
-            WriteOutcome::Error => false,
-        }
-    }
-
-    fn echo_deadline(&mut self, c: &mut EchoConn) -> bool {
-        // The blocking echo responds with whatever arrived before its
-        // read timeout; mirror that.
-        if !c.responded {
-            let response = EchoServer::respond(&c.buf);
-            c.out = response.to_bytes();
-            c.responded = true;
-        }
-        let out = std::mem::take(&mut c.out);
-        match drain_write(&mut c.stream, &out, &mut c.out_pos) {
-            WriteOutcome::Flushed => {
-                let _ = c.stream.shutdown(Shutdown::Both);
-                false
-            }
-            WriteOutcome::Partial => {
-                c.out = out;
-                true
-            }
-            WriteOutcome::Error => false,
+        match self.slab.get_mut(owner).and_then(|s| s.entry.as_mut()) {
+            Some(Entry::OriginListener(l)) => l.logs.push(log),
+            Some(Entry::ProxyListener(l)) => l.logs.push(log),
+            _ => {}
         }
     }
 
@@ -1743,10 +1162,8 @@ impl EventLoop {
         let read_timeout = state.read_timeout;
         let progressed = match drain_read(&mut c.stream, &mut state.resp) {
             ReadOutcome::More(any) => any,
-            // The blocking client treats read errors as EOF.
-            ReadOutcome::Eof | ReadOutcome::Error => {
-                return self.exchange_done(c, ExchangeEnd::Eof);
-            }
+            ReadOutcome::Eof => return self.exchange_done(c, ExchangeEnd::Eof),
+            ReadOutcome::Error => return self.exchange_done(c, ExchangeEnd::ReadError),
         };
         if progressed {
             c.seq = self.next_seq();
@@ -1758,11 +1175,7 @@ impl EventLoop {
     fn client_deadline(&mut self, c: &mut ClientConn) -> bool {
         match &mut c.kind {
             ClientKind::Idle { .. } => true,
-            ClientKind::Exchange(_) => {
-                // Take the exchange to completion with timed_out set.
-                self.exchange_complete(c, true);
-                false
-            }
+            ClientKind::Exchange(_) => self.exchange_done(c, ExchangeEnd::Deadline),
             ClientKind::Drive(_) => {
                 self.drive_complete(c, true);
                 false
@@ -1770,58 +1183,49 @@ impl EventLoop {
         }
     }
 
+    /// Completes an exchange (always closing its connection): a job gets
+    /// its output, a relay's proxy connection gets the response — only
+    /// a clean EOF counts as a completed relay, as in a blocking hop.
     fn exchange_done(&mut self, c: &mut ClientConn, end: ExchangeEnd) -> bool {
         let ClientKind::Exchange(state) = &mut c.kind else { return true };
+        let local = c.stream.local_addr().ok();
+        let _ = c.stream.shutdown(Shutdown::Both);
+        let (batch, job) = match state.sink {
+            Sink::Relay(owner) => {
+                let response = std::mem::take(&mut state.resp);
+                let result = if end == ExchangeEnd::Eof { Ok(response) } else { Err(()) };
+                self.agenda.push_back(Wake::RelayDone(owner, result));
+                return false;
+            }
+            Sink::Job { batch, job } => (batch, job),
+        };
         // Stale pooled connection: the server closed it between claim
         // and use — no bytes, no log, nothing charged. Retry once fresh.
-        let log_pending = state.pair.is_some_and(|owner| match c.stream.local_addr() {
-            Ok(local) => self.tickets.contains_key(&(owner, local)),
-            Err(_) => false,
-        });
-        if state.reused && !state.retried && state.resp.is_empty() && log_pending {
-            if let (Some(owner), Ok(local)) = (state.pair, c.stream.local_addr()) {
-                self.tickets.remove(&(owner, local));
+        let ticket = state.pair.zip(local);
+        if end != ExchangeEnd::Deadline
+            && state.reused
+            && !state.retried
+            && state.resp.is_empty()
+            && ticket.is_some_and(|t| self.tickets.contains_key(&t))
+        {
+            if let Some(t) = ticket {
+                self.tickets.remove(&t);
             }
-            let batch = state.batch;
-            let job = state.job;
             let spec = state.spec.clone();
             self.submit_exchange(batch, job, spec, true);
             return false;
         }
-        match end {
-            ExchangeEnd::WriteError => {
-                let err = Some(NetError::io(std::io::Error::other("write failed mid-exchange")));
-                self.exchange_complete_with(c, false, err);
-            }
-            ExchangeEnd::Eof => self.exchange_complete(c, false),
+        let (mut server_log, mut proxy_log) = (None, None);
+        match self.batches.get_mut(batch).and_then(|b| b.as_mut()?.pending_logs.remove(&job)) {
+            Some(ConnLog::Server(log)) => server_log = Some(log),
+            Some(ConnLog::Proxy(log)) => proxy_log = Some(log),
+            None => {}
         }
-        false
-    }
-
-    fn exchange_complete(&mut self, c: &mut ClientConn, timed_out: bool) {
-        self.exchange_complete_with(c, timed_out, None);
-    }
-
-    fn exchange_complete_with(
-        &mut self,
-        c: &mut ClientConn,
-        timed_out: bool,
-        error: Option<NetError>,
-    ) {
-        let ClientKind::Exchange(state) = &mut c.kind else { return };
-        let batch = state.batch;
-        let job = state.job;
-        // Unregister a still-pending ticket so a late server log lands in
-        // the listener's accumulated logs instead of a dead batch slot.
-        let mut server_log = None;
-        let mut proxy_log = None;
-        if let Some(Some(b)) = self.batches.get_mut(batch) {
-            server_log = b.pending_server_logs.remove(&job);
-            proxy_log = b.pending_proxy_logs.remove(&job);
-        }
+        let error = (end == ExchangeEnd::WriteError)
+            .then(|| NetError::io(std::io::Error::other("write failed mid-exchange")));
         let out = ExchangeOutput {
             response: std::mem::take(&mut state.resp),
-            timed_out,
+            timed_out: end == ExchangeEnd::Deadline,
             error,
             server_log,
             proxy_log,
@@ -1829,8 +1233,8 @@ impl EventLoop {
             reused: state.reused,
             retried: state.retried,
         };
-        let _ = c.stream.shutdown(Shutdown::Both);
         self.complete(batch, job, JobOutput::Exchange(out));
+        false
     }
 
     fn drive_step(&mut self, idx: usize, c: &mut ClientConn) -> bool {
@@ -1923,9 +1327,14 @@ impl EventLoop {
     }
 }
 
+/// How an exchange ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ExchangeEnd {
     Eof,
+    /// A read error; a job treats it as EOF, like the blocking client.
+    ReadError,
     WriteError,
+    Deadline,
 }
 
 /// Queues the next pipeline window of requests on a drive.
@@ -1963,12 +1372,6 @@ pub struct Reactor {
     cmds: Arc<Mutex<VecDeque<Cmd>>>,
     wake_tx: TcpStream,
     thread: Option<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for EventLoop {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventLoop").field("slots", &self.slab.len()).finish()
-    }
 }
 
 impl std::fmt::Debug for Cmd {
@@ -2031,7 +1434,7 @@ impl Reactor {
         let name = profile.name.clone();
         let server = Server::new(profile);
         let (ack, rx) = channel();
-        self.send(Cmd::AddOrigin { listener, server, config, record, name: name.clone(), ack });
+        self.send(Cmd::AddOrigin { listener, server, config, record, ack });
         let id = rx.recv().map_err(|_| {
             NetError::spawn(std::io::Error::other("reactor loop gone during add_origin"))
         })?;
@@ -2054,7 +1457,7 @@ impl Reactor {
         let name = profile.name.clone();
         let proxy = Proxy::new(profile);
         let (ack, rx) = channel();
-        self.send(Cmd::AddProxy { listener, proxy, config, name: name.clone(), ack });
+        self.send(Cmd::AddProxy { listener, proxy, config, ack });
         let id = rx.recv().map_err(|_| {
             NetError::spawn(std::io::Error::other("reactor loop gone during add_proxy"))
         })?;
@@ -2127,6 +1530,7 @@ impl Drop for Reactor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::{ServerFault, Teardown};
     use crate::timeout::{io_timeout, stall_observe_timeout};
     use hdiff_servers::ParserProfile;
 

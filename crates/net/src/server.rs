@@ -1,40 +1,23 @@
 //! A behavioral profile served over a real TCP listener.
 //!
-//! [`NetServer`] binds an ephemeral loopback port and runs the existing
-//! [`hdiff_servers::engine`] over a buffered connection loop: bytes are
-//! read incrementally, messages are parsed and answered as they complete
-//! (keep-alive pipelining), and per-connection accounting (replies,
-//! consumed bytes, teardown mode) is recorded for the campaign to
-//! collect. The parsing loop is written so a connection that delivers the
-//! same bytes as an in-process [`Server::handle_stream`] call produces
+//! [`NetServer`] binds an ephemeral loopback port and serves each
+//! accepted connection with the blocking driver feeding a `conn::Origin`
+//! machine: bytes are read incrementally, messages are parsed and
+//! answered as they complete (keep-alive pipelining), and per-connection
+//! accounting (replies, consumed bytes, teardown mode) is recorded for
+//! the campaign to collect. A connection that delivers the same bytes as
+//! an in-process [`hdiff_servers::Server::handle_stream`] call produces
 //! the identical reply sequence — the property the cross-transport
 //! consistency pass asserts.
 
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
+use std::net::SocketAddr;
 use std::time::Duration;
 
-use hdiff_servers::{Interpretation, ParserProfile, Server, ServerReply};
-use hdiff_wire::{Response, StatusCode};
+use hdiff_servers::{ParserProfile, Server, ServerReply};
 
+use crate::blocking::{serve, Listener, Records};
+use crate::conn::Origin;
 use crate::error::NetError;
-
-/// Consecutive `accept` failures the listener tolerates (counting and
-/// continuing) before it concludes the listener socket itself is dead
-/// and exits the loop. A transient per-connection error (aborted
-/// handshake, EMFILE pressure easing) must not kill the whole server.
-pub const MAX_ACCEPT_ERRORS: u32 = 8;
-
-/// Locks a connection-log mutex, tolerating poison: the log is
-/// append-only accounting, so a panic in another handler thread leaves
-/// it structurally intact — losing the whole campaign's wire log over it
-/// would be the worse failure.
-fn lock_logs(logs: &Mutex<Vec<ConnectionLog>>) -> MutexGuard<'_, Vec<ConnectionLog>> {
-    logs.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Mirror of the in-process pipelining cap (see `Server::handle_stream`).
 pub const MAX_MESSAGES: usize = 16;
@@ -111,45 +94,11 @@ impl Default for NetServerConfig {
     }
 }
 
-/// Classifies a rejection as "the stream is incomplete — more bytes may
-/// change the verdict" (as opposed to genuinely malformed). These are
-/// exactly the engine's partial-input reject reasons; a keep-alive
-/// connection waits for more bytes on them instead of answering early.
-pub fn incomplete_reason(i: &Interpretation) -> bool {
-    match &i.outcome {
-        hdiff_servers::Outcome::Accept => false,
-        hdiff_servers::Outcome::Reject { status, reason } => {
-            *status == 408
-                || reason.contains("no request line terminator")
-                || reason.contains("header section not terminated")
-                || reason.contains("chunked body truncated")
-        }
-    }
-}
-
-/// Whether a parse of `remaining` buffered bytes can be finalized before
-/// EOF. Accepts are prefix-stable except when a chunked-repair consumed
-/// everything buffered (more bytes could extend the repaired body);
-/// rejects are final unless they look like a partial message.
-pub(crate) fn is_final(reply: &ServerReply, remaining: usize, eof: bool) -> bool {
-    if eof {
-        return true;
-    }
-    let i = &reply.interpretation;
-    if i.outcome.is_accept() {
-        !(i.repaired_chunked && i.consumed >= remaining)
-    } else {
-        !incomplete_reason(i)
-    }
-}
-
 /// A behavioral profile listening on an ephemeral loopback port.
 #[derive(Debug)]
 pub struct NetServer {
-    addr: SocketAddr,
-    logs: Arc<Mutex<Vec<ConnectionLog>>>,
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
+    listener: Listener,
+    logs: Records<ConnectionLog>,
     /// The product name served.
     pub name: String,
 }
@@ -157,211 +106,47 @@ pub struct NetServer {
 impl NetServer {
     /// Binds `127.0.0.1:0` and starts serving `profile`. A bind or
     /// thread-spawn failure comes back as a typed [`NetError`] for the
-    /// caller to record; the accept loop itself tolerates up to
-    /// [`MAX_ACCEPT_ERRORS`] consecutive transient failures before
-    /// concluding the listener is dead.
+    /// caller to record; the accept loop itself tolerates a few
+    /// consecutive transient failures before concluding the listener is
+    /// dead.
     pub fn spawn(profile: ParserProfile, config: NetServerConfig) -> Result<NetServer, NetError> {
-        let listener = TcpListener::bind("127.0.0.1:0").map_err(NetError::bind)?;
-        let addr = listener.local_addr().map_err(NetError::bind)?;
-        let logs = Arc::new(Mutex::new(Vec::new()));
-        let stop = Arc::new(AtomicBool::new(false));
         let name = profile.name.clone();
-        let thread = {
-            let logs = Arc::clone(&logs);
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name(format!("net-{name}"))
-                .spawn(move || {
-                    let server = Server::new(profile);
-                    let mut accept_errors = 0u32;
-                    while !stop.load(Ordering::SeqCst) {
-                        let stream = match listener.accept() {
-                            Ok((stream, _)) => stream,
-                            Err(_) => {
-                                hdiff_obs::count("net.accept.error", 1);
-                                accept_errors += 1;
-                                if accept_errors >= MAX_ACCEPT_ERRORS {
-                                    break;
-                                }
-                                continue;
-                            }
-                        };
-                        accept_errors = 0;
-                        if stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        handle_connection(&server, &config, stream, &logs);
-                    }
-                })
-                .map_err(NetError::spawn)?
-        };
-        Ok(NetServer { addr, logs, stop, thread: Some(thread), name })
+        let logs = Records::new();
+        let server = Server::new(profile);
+        let listener = Listener::spawn(format!("net-{name}"), {
+            let logs = logs.clone();
+            move |stream| {
+                let origin = Origin::new(&config, true);
+                let (read, write) = (config.read_timeout, config.write_timeout);
+                serve(origin, &server, stream, read, write, None, |log| logs.push(log));
+            }
+        })?;
+        Ok(NetServer { listener, logs, name })
     }
 
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.addr()
     }
 
     /// Drains the accumulated connection logs.
     pub fn take_logs(&self) -> Vec<ConnectionLog> {
-        std::mem::take(&mut *lock_logs(&self.logs))
+        self.logs.take()
     }
 
     /// Stops the accept loop and joins the listener thread.
     pub fn shutdown(&mut self) {
-        if let Some(thread) = self.thread.take() {
-            self.stop.store(true, Ordering::SeqCst);
-            // Unblock the accept call.
-            let _ = TcpStream::connect(self.addr);
-            let _ = thread.join();
-        }
+        self.listener.shutdown();
     }
-}
-
-impl Drop for NetServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Runs one connection to completion. The connection log is pushed into
-/// `logs` *before* the stream is closed, so a client that observed EOF
-/// (or gave up on a stall) is guaranteed to observe the complete log.
-fn handle_connection(
-    server: &Server,
-    config: &NetServerConfig,
-    mut stream: TcpStream,
-    logs: &Mutex<Vec<ConnectionLog>>,
-) {
-    let _ = stream.set_read_timeout(Some(config.read_timeout));
-    let _ = stream.set_write_timeout(Some(config.write_timeout));
-    let _ = stream.set_nodelay(true);
-
-    match config.fault {
-        Some(ServerFault::CloseNoReply) => {
-            // Read whatever is in flight, then abort without a byte.
-            let mut sink = [0u8; 4096];
-            let bytes_in = stream.read(&mut sink).unwrap_or(0);
-            lock_logs(logs).push(ConnectionLog {
-                replies: Vec::new(),
-                bytes_in,
-                bytes_out: 0,
-                teardown: Teardown::Abort,
-            });
-            let _ = stream.shutdown(Shutdown::Both);
-            return;
-        }
-        Some(ServerFault::Stall) => {
-            // Never reply; hold the socket until the peer gives up. The
-            // client's read timeout is the real-world stall observation,
-            // so the log is pushed *before* the stall begins — the
-            // campaign collects it after its client times out.
-            let mut sink = [0u8; 4096];
-            let bytes_in = stream.read(&mut sink).unwrap_or(0);
-            lock_logs(logs).push(ConnectionLog {
-                replies: Vec::new(),
-                bytes_in,
-                bytes_out: 0,
-                teardown: Teardown::Stalled,
-            });
-            loop {
-                match stream.read(&mut sink) {
-                    Ok(0) | Err(_) => break,
-                    Ok(_) => {}
-                }
-            }
-            return;
-        }
-        _ => {}
-    }
-
-    let mut buf: Vec<u8> = Vec::new();
-    let mut pos = 0usize;
-    let mut replies: Vec<ServerReply> = Vec::new();
-    let mut bytes_out = 0usize;
-    let mut eof = false;
-    let mut teardown = Teardown::Fin;
-
-    'conn: loop {
-        // Parse and answer every finalizable message in the buffer.
-        while replies.len() < config.max_messages && pos < buf.len() {
-            let reply = server.handle(&buf[pos..]);
-            if !is_final(&reply, buf.len() - pos, eof) {
-                break; // wait for more bytes (or EOF)
-            }
-            let consumed = reply.interpretation.consumed;
-            let rejected = !reply.interpretation.outcome.is_accept();
-            let reply = apply_reply_fault(server, config.fault, reply);
-            let wire = reply.response.to_bytes();
-            if stream.write_all(&wire).is_err() {
-                teardown = Teardown::Abort;
-                replies.push(reply);
-                break 'conn;
-            }
-            bytes_out += wire.len();
-            replies.push(reply);
-            if rejected || consumed == 0 {
-                break 'conn; // connection closes on error, like the engine
-            }
-            pos += consumed;
-        }
-
-        if eof || replies.len() >= config.max_messages {
-            break;
-        }
-
-        let mut chunk = [0u8; 4096];
-        match stream.read(&mut chunk) {
-            Ok(0) => eof = true,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                teardown = Teardown::TimedOut;
-                break;
-            }
-            Err(_) => {
-                teardown = Teardown::Abort;
-                break;
-            }
-        }
-    }
-
-    lock_logs(logs).push(ConnectionLog { replies, bytes_in: buf.len(), bytes_out, teardown });
-    let _ = stream.shutdown(Shutdown::Both);
-}
-
-/// Applies the reply-shaped fault effects exactly the way the in-process
-/// engine does, so recorded replies stay comparable across transports.
-pub(crate) fn apply_reply_fault(
-    server: &Server,
-    fault: Option<ServerFault>,
-    mut reply: ServerReply,
-) -> ServerReply {
-    match fault {
-        Some(ServerFault::Substitute503) => {
-            let mut r = Response::with_body(
-                StatusCode(503),
-                "injected transient upstream error".to_string(),
-            );
-            r.headers.push("Server", server.name());
-            reply.response = r;
-        }
-        Some(ServerFault::TruncateBody) => {
-            let keep = reply.response.body.len() / 2;
-            reply.response.body.truncate(keep);
-        }
-        _ => {}
-    }
-    reply
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conn::{drive, Input, Machine, Step};
+    use hdiff_wire::StatusCode;
     use std::io::{Read, Write};
+    use std::net::{Shutdown, TcpStream};
 
     fn exchange(addr: SocketAddr, bytes: &[u8]) -> Vec<u8> {
         let mut s = TcpStream::connect(addr).unwrap();
@@ -379,17 +164,30 @@ mod tests {
 
     #[test]
     fn incremental_finalize_is_prefix_stable_at_every_split() {
-        // Whatever prefix a segmented delivery leaves in the buffer, a
-        // reply finalized before EOF must be the reply the whole stream
-        // gets — in particular a chunk whose CRLF has only partly arrived
-        // waits for more bytes instead of rejecting.
+        // Whatever prefix a segmented delivery leaves in the buffer, the
+        // origin machine must answer the way the whole stream is answered
+        // — in particular a chunk whose CRLF has only partly arrived waits
+        // for more bytes instead of rejecting.
+        let mut vectors = vec![SEGMENTED_VECTOR.to_vec()];
+        for entry in hdiff_gen::catalog::catalog() {
+            vectors.extend(entry.requests.iter().map(|(req, _)| req.to_bytes()));
+        }
+        let config = NetServerConfig::default();
         for profile in hdiff_servers::backends() {
             let server = Server::new(profile.clone());
-            let whole = server.handle(SEGMENTED_VECTOR);
-            for split in 1..SEGMENTED_VECTOR.len() {
-                let reply = server.handle(&SEGMENTED_VECTOR[..split]);
-                if is_final(&reply, split, false) {
-                    assert_eq!(reply, whole, "{} finalized early at byte {split}", profile.name);
+            for bytes in &vectors {
+                let whole = server.handle_stream(bytes);
+                for split in 1..bytes.len() {
+                    let (head, tail) = bytes.split_at(split);
+                    let inputs = vec![Input::Read(head), Input::Read(tail), Input::Eof];
+                    let (_, log) = drive(Origin::new(&config, true), &server, inputs, |_| Err(()));
+                    let replies = log.expect("closed connections log").replies;
+                    assert!(
+                        replies == whole,
+                        "{} answered {:?} differently when split at byte {split}",
+                        profile.name,
+                        String::from_utf8_lossy(bytes)
+                    );
                 }
             }
         }
@@ -402,10 +200,19 @@ mod tests {
         bytes.push(b'X');
         let mut rejected_early = 0;
         for profile in hdiff_servers::backends() {
-            let reply = Server::new(profile).handle(&bytes);
-            if let hdiff_servers::Outcome::Reject { reason, .. } = &reply.interpretation.outcome {
+            let server = Server::new(profile);
+            let mut origin = Origin::new(&NetServerConfig::default(), true);
+            let early = origin.feed(&server, Input::Read(&bytes)) == Step::Close;
+            if !early {
+                origin.feed(&server, Input::Eof);
+            }
+            let log = origin.finish().expect("closed connections log");
+            if let hdiff_servers::Outcome::Reject { reason, .. } =
+                &log.replies[0].interpretation.outcome
+            {
                 if reason.contains("chunk data not terminated by crlf") {
-                    assert!(is_final(&reply, bytes.len(), false), "{reason}");
+                    // The reject finalized on the bytes alone, before EOF.
+                    assert!(early, "{reason}");
                     rejected_early += 1;
                 }
             }
@@ -517,7 +324,7 @@ mod tests {
         };
         let server = NetServer::spawn(ParserProfile::strict("wire"), ctrunc).unwrap();
         let raw = exchange(server.addr(), bytes);
-        let full = Server::new(ParserProfile::strict("wire")).handle(bytes);
+        let full = &Server::new(ParserProfile::strict("wire")).handle_stream(bytes)[0];
         let logs = server.take_logs();
         assert_eq!(logs[0].replies[0].response.body.len(), full.response.body.len() / 2);
         // The wire carries fewer body bytes than the Content-Length claims.

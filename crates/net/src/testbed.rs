@@ -15,7 +15,6 @@
 
 use std::ops::Deref;
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::Duration;
 
 use hdiff_servers::ParserProfile;
 
@@ -38,7 +37,6 @@ pub struct AsyncTestbed {
     reactor: Reactor,
     backends: Vec<AsyncListener>,
     proxies: Vec<AsyncListener>,
-    echo: AsyncListener,
 }
 
 impl AsyncTestbed {
@@ -72,12 +70,7 @@ impl AsyncTestbed {
         for l in backend_listeners.iter().chain(&proxy_listeners) {
             reactor.warm(l.addr, WARM_DEPTH);
         }
-        Ok(AsyncTestbed { reactor, backends: backend_listeners, proxies: proxy_listeners, echo })
-    }
-
-    /// The hosting reactor.
-    pub fn reactor(&self) -> &Reactor {
-        &self.reactor
+        Ok(AsyncTestbed { reactor, backends: backend_listeners, proxies: proxy_listeners })
     }
 
     /// Origin listeners, in the order the backend profiles were given.
@@ -90,32 +83,15 @@ impl AsyncTestbed {
         &self.proxies
     }
 
-    /// The shared echo upstream.
-    pub fn echo(&self) -> &AsyncListener {
-        &self.echo
-    }
-
     /// An exchange job against `listener`, paired so the output carries
     /// the connection log, claiming a warm pooled connection when one is
     /// available.
     pub fn exchange_job(&self, listener: &AsyncListener, bytes: &[u8], mode: SendMode) -> Job {
-        self.exchange_job_with_timeout(listener, bytes, mode, io_timeout())
-    }
-
-    /// [`AsyncTestbed::exchange_job`] with an explicit read deadline
-    /// (stall observation uses a short one).
-    pub fn exchange_job_with_timeout(
-        &self,
-        listener: &AsyncListener,
-        bytes: &[u8],
-        mode: SendMode,
-        read_timeout: Duration,
-    ) -> Job {
         Job::Exchange(ExchangeSpec {
             addr: listener.addr,
             bytes: bytes.to_vec(),
             mode,
-            read_timeout,
+            read_timeout: io_timeout(),
             pair: Some(listener.id),
             warm: true,
         })

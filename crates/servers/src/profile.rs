@@ -9,7 +9,7 @@
 use hdiff_wire::{ChunkedDecodeOptions, HostParseOptions};
 
 /// Whitespace between field-name and colon (RFC 7230 §3.2.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WsColonPolicy {
     /// Reject the message with 400 (the MUST).
     Reject,
@@ -21,7 +21,7 @@ pub enum WsColonPolicy {
 }
 
 /// Non-tchar bytes inside a header name (`\x0bTransfer-Encoding`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NamePolicy {
     /// Reject the message.
     Reject,
@@ -33,7 +33,7 @@ pub enum NamePolicy {
 }
 
 /// Obsolete line folding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObsFoldPolicy {
     /// Reject with 400.
     Reject,
@@ -42,7 +42,7 @@ pub enum ObsFoldPolicy {
 }
 
 /// Duplicate `Content-Length` headers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DuplicateClPolicy {
     /// Reject whenever more than one CL header/value is present.
     Reject,
@@ -56,7 +56,7 @@ pub enum DuplicateClPolicy {
 }
 
 /// `Content-Length` value parsing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClValuePolicy {
     /// `1*DIGIT` only.
     Strict,
@@ -65,7 +65,7 @@ pub enum ClValuePolicy {
 }
 
 /// `Transfer-Encoding` value recognition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TeRecognition {
     /// Token-list parse; final coding must be `chunked`; unknown codings
     /// are errors.
@@ -79,7 +79,7 @@ pub enum TeRecognition {
 }
 
 /// Both `Content-Length` and a *strictly valid* `Transfer-Encoding`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClTePolicy {
     /// Reject the message (the ought-to-be-handled-as-an-error reading).
     Reject,
@@ -90,7 +90,7 @@ pub enum ClTePolicy {
 }
 
 /// Chunked framing under HTTP/1.0.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Chunked10Policy {
     /// Decode chunked regardless of version.
     Process,
@@ -101,7 +101,7 @@ pub enum Chunked10Policy {
 }
 
 /// Body on GET/HEAD ("fat" requests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FatRequestPolicy {
     /// Parse the body per its framing headers.
     AcceptParse,
@@ -113,7 +113,7 @@ pub enum FatRequestPolicy {
 }
 
 /// Request-line HTTP-version handling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VersionPolicy {
     /// Reject grammar-invalid versions with 400.
     Strict,
@@ -126,7 +126,7 @@ pub enum VersionPolicy {
 }
 
 /// A literal `HTTP/2.0` (or higher) token on the request line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Http2TokenPolicy {
     /// Treat like 1.1 (token-only reading).
     TreatAs11,
@@ -135,7 +135,7 @@ pub enum Http2TokenPolicy {
 }
 
 /// Multiple `Host` headers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MultiHostPolicy {
     /// Reject with 400 (the MUST).
     Reject,
@@ -146,7 +146,7 @@ pub enum MultiHostPolicy {
 }
 
 /// Absolute-form request-target versus the `Host` header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AbsUriPolicy {
     /// The request-target's authority wins (RFC §5.4) — IIS/Tomcat.
     PreferUri,
@@ -157,7 +157,7 @@ pub enum AbsUriPolicy {
 }
 
 /// `Expect` header handling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExpectPolicy {
     /// Unknown expectation values get 417; `100-continue` is processed.
     Strict,
@@ -169,7 +169,7 @@ pub enum ExpectPolicy {
 }
 
 /// How a proxy rewrites absolute-form targets when forwarding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RewriteAbsUri {
     /// Always rewrite to origin-form and regenerate Host (RFC §5.4 MUST).
     Always,
@@ -181,7 +181,7 @@ pub enum RewriteAbsUri {
 }
 
 /// Which version token a proxy puts on forwarded request lines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ForwardVersion {
     /// Its own version (RFC §2.6 MUST for non-tunnels).
     Own,
@@ -191,7 +191,7 @@ pub enum ForwardVersion {
 }
 
 /// Proxy-specific behavior.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProxyBehavior {
     /// Absolute-URI rewriting.
     pub rewrite_abs_uri: RewriteAbsUri,
@@ -220,7 +220,7 @@ pub struct ProxyBehavior {
 }
 
 /// What a proxy's cache will store (CPDoS surface).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheBehavior {
     /// Cache GET responses at all.
     pub enabled: bool,
@@ -248,7 +248,7 @@ impl ProxyBehavior {
 }
 
 /// A complete behavioral profile for one HTTP implementation.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParserProfile {
     /// Display name (`"varnish"`).
     pub name: String,

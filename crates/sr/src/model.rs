@@ -5,9 +5,7 @@ use std::fmt;
 /// The protocol roles HTTP requirements are placed on (RFC 7230 §2.5 names
 /// ten: senders, recipients, clients, servers, user agents, intermediaries,
 /// origin servers, proxies, gateways, caches).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Role {
     /// Any party generating a message.
     Sender,
@@ -115,7 +113,7 @@ impl fmt::Display for Role {
 
 /// Requirement strength, following RFC 2119 plus the non-keyword strong
 /// phrasings the paper's sentiment finder is designed to catch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Modality {
     /// MUST / REQUIRED / SHALL.
     Must,
@@ -156,7 +154,7 @@ impl fmt::Display for Modality {
 }
 
 /// The part of the message a description constrains.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum MessageField {
     /// A named header field (`Host`, `Content-Length`, …).
     Header(String),
@@ -191,7 +189,7 @@ impl fmt::Display for MessageField {
 /// The state a message description asserts about a field — the paper's
 /// enumerable message-description vocabulary (valid, invalid, repeat,
 /// empty, too long, …).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FieldState {
     /// The field is present (any value).
     Present,
@@ -246,7 +244,7 @@ impl fmt::Display for FieldState {
 }
 
 /// One message description: `field is state`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MessageDescription {
     /// The constrained field.
     pub field: MessageField,
@@ -274,7 +272,7 @@ impl fmt::Display for MessageDescription {
 
 /// What the role is required to do — the paper's enumerable role-action
 /// vocabulary (close connection, report error, respond N, not forward, …).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum RoleAction {
     /// Respond with a specific status code.
     Respond(u16),
@@ -321,7 +319,7 @@ impl fmt::Display for RoleAction {
 }
 
 /// A formal Specification Requirement.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecRequirement {
     /// Stable identifier (`doc:section:ordinal`).
     pub id: String,

@@ -8,7 +8,7 @@
 use crate::model::{FieldState, RoleAction};
 
 /// How the SR translator realizes a [`FieldState`] in a concrete request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GenStrategy {
     /// Emit a grammar-valid value from the ABNF generator.
     UseValid,
@@ -30,7 +30,7 @@ pub enum GenStrategy {
 
 /// The observable behavior an action translates to, checked against the
 /// implementation's `HMetrics`.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Expectation {
     /// Status codes that satisfy the requirement (empty = any).
     pub allowed_status: Vec<u16>,

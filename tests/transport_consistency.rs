@@ -104,6 +104,32 @@ fn catalog_campaign_findings_match_across_transports() {
 }
 
 #[test]
+fn wire_transports_observe_every_exchange_alike() {
+    widen_timeouts_for_ci();
+    if !hdiff::net::reactor::sys::supported() {
+        eprintln!("skipping: no epoll backend on this target");
+        return;
+    }
+    // A fault-free case makes the same exchanges on both wire transports
+    // — direct backends, proxy hops, replays — so each must record one
+    // RTT (and any timeout) per exchange, proxy hops included.
+    let cases = catalog_cases();
+    let observed = |transport| {
+        let mut engine = DiffEngine::standard();
+        engine.threads = 2;
+        engine.transport = transport;
+        let merged = engine.run(&cases).telemetry.merged;
+        let rtts = merged.hists.get("net.exchange.rtt").map_or(0, |h| h.count);
+        let timeouts = merged.counters.get("net.exchange.timeout").copied().unwrap_or(0);
+        (rtts, timeouts)
+    };
+    let tcp = observed(Transport::Tcp);
+    let multiplexed = observed(Transport::TcpAsync);
+    assert!(tcp.0 > 0, "no exchange RTT recorded");
+    assert_eq!(tcp, multiplexed, "(net.exchange.rtt, net.exchange.timeout) counts differ");
+}
+
+#[test]
 fn catalog_vectors_have_consistent_behavior_digests() {
     widen_timeouts_for_ci();
     let workflow = Workflow::standard();
