@@ -9,6 +9,7 @@
 
 use hdiff_gen::AttackClass;
 use hdiff_servers::{interpret, Interpretation, Outcome, ParserProfile};
+use hdiff_wire::ascii;
 
 /// What kind of deviation from the baseline was observed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -45,21 +46,16 @@ pub fn baseline_profile() -> ParserProfile {
 /// Classifies a baseline rejection reason (plus the message bytes) into
 /// the attack class a lenient acceptance of it evidences.
 fn classify_reason(reason: &str, bytes: &[u8]) -> AttackClass {
-    let r = reason.to_ascii_lowercase();
-    let lower: Vec<u8> = bytes.to_ascii_lowercase();
-    let has = |needle: &[u8]| lower.windows(needle.len()).any(|w| w == needle);
+    let said = |needle: &str| ascii::contains_ignore_case(reason.as_bytes(), needle.as_bytes());
+    let has = |needle: &[u8]| ascii::contains_ignore_case(bytes, needle);
 
-    if r.contains("content-length")
-        || r.contains("transfer")
-        || r.contains("chunk")
-        || r.contains("body")
-    {
+    if said("content-length") || said("transfer") || said("chunk") || said("body") {
         return AttackClass::Hrs;
     }
-    if r.contains("host") {
+    if said("host") {
         return AttackClass::Hot;
     }
-    if r.contains("version") || r.contains("expect") || r.contains("0.9") {
+    if said("version") || said("expect") || said("0.9") {
         return AttackClass::Cpdos;
     }
     // Generic reasons (whitespace before colon, invalid header name):

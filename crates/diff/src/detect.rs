@@ -11,6 +11,7 @@ use std::fmt;
 use hdiff_gen::AttackClass;
 use hdiff_servers::fault::FaultKind;
 use hdiff_servers::{interpret, Outcome, ParserProfile};
+use hdiff_wire::ascii;
 
 use crate::baseline::{baseline_profile, deviations, Deviation, DeviationKind};
 use crate::findings::Finding;
@@ -148,15 +149,21 @@ pub fn detect_case_with_oracle(
     };
 
     // ---- Model 0: single-implementation deviations ------------------------
-    // (covers both direct back-end runs and proxy interpretations).
-    let mut singles: Vec<&str> = outcome.direct.iter().map(|(n, _)| n.as_str()).collect();
+    // (covers both direct back-end runs and proxy interpretations). Each
+    // implementation's deviations are computed once here; the pair models
+    // below reuse them for every chain it takes part in.
+    let mut singles: Vec<(&str, Vec<Deviation>)> =
+        Vec::with_capacity(outcome.direct.len() + outcome.chains.len());
+    for (name, _) in &outcome.direct {
+        singles.push((name, devs_of(name)));
+    }
     for chain in &outcome.chains {
-        if !singles.contains(&chain.proxy.as_str()) {
-            singles.push(chain.proxy.as_str());
+        if !singles.iter().any(|(n, _)| *n == chain.proxy) {
+            singles.push((&chain.proxy, devs_of(&chain.proxy)));
         }
     }
-    for name in singles {
-        for dev in devs_of(name) {
+    for (name, devs) in &singles {
+        for dev in devs {
             let attributable = matches!(
                 dev.kind,
                 DeviationKind::LenientAccept
@@ -178,6 +185,16 @@ pub fn detect_case_with_oracle(
             });
         }
     }
+    // Whether `name` deviates from the baseline other than by rejecting
+    // more strictly — what makes it a culprit of a pair finding.
+    let deviates = |name: &str| {
+        let lenient =
+            |devs: &[Deviation]| devs.iter().any(|d| d.kind != DeviationKind::StrictReject);
+        match singles.iter().find(|(n, _)| *n == name) {
+            Some((_, devs)) => lenient(devs),
+            None => lenient(&devs_of(name)),
+        }
+    };
 
     // ---- Pair models over chains -------------------------------------------
     for chain in &outcome.chains {
@@ -185,26 +202,27 @@ pub fn detect_case_with_oracle(
         if !first_proxy.interpretation.outcome.is_accept() {
             continue;
         }
-        let proxy_host = first_proxy.interpretation.host.clone();
-        let proxy_devs = devs_of(&chain.proxy);
+        let proxy_host = &first_proxy.interpretation.host;
+        let proxy_deviates = deviates(&chain.proxy);
 
         for replay in &chain.replays {
             let Some(first_reply) = replay.replies.first() else { continue };
-            let backend_devs = devs_of(&replay.backend);
-            let mut pair_culprits: BTreeSet<String> = BTreeSet::new();
-            for d in proxy_devs.iter().filter(|d| d.kind != DeviationKind::StrictReject) {
-                let _ = d;
-                pair_culprits.insert(chain.proxy.clone());
-            }
-            for d in backend_devs.iter().filter(|d| d.kind != DeviationKind::StrictReject) {
-                let _ = d;
-                pair_culprits.insert(replay.backend.clone());
-            }
+            let backend_deviates = deviates(&replay.backend);
+            let pair_culprits = || {
+                let mut culprits = BTreeSet::new();
+                if proxy_deviates {
+                    culprits.insert(chain.proxy.clone());
+                }
+                if backend_deviates {
+                    culprits.insert(replay.backend.clone());
+                }
+                culprits
+            };
 
             // HoT: both accept, host views differ.
             if first_reply.interpretation.outcome.is_accept() {
                 let backend_host = &first_reply.interpretation.host;
-                if proxy_host.is_some() && backend_host.is_some() && proxy_host != *backend_host {
+                if proxy_host.is_some() && backend_host.is_some() && proxy_host != backend_host {
                     let mut evidence = format!(
                         "host views differ: proxy sees {:?}, backend sees {:?}",
                         String::from_utf8_lossy(proxy_host.as_deref().unwrap_or_default()),
@@ -224,7 +242,7 @@ pub fn detect_case_with_oracle(
                         front: Some(chain.proxy.clone()),
                         back: Some(replay.backend.clone()),
                         culprits: {
-                            let mut c = pair_culprits.clone();
+                            let mut c = pair_culprits();
                             c.insert(chain.proxy.clone());
                             c.insert(replay.backend.clone());
                             c
@@ -244,7 +262,7 @@ pub fn detect_case_with_oracle(
                     origin: outcome.origin.clone(),
                     front: Some(chain.proxy.clone()),
                     back: Some(replay.backend.clone()),
-                    culprits: pair_culprits.clone(),
+                    culprits: pair_culprits(),
                     evidence: format!(
                         "desync: proxy forwarded {} message(s), backend parsed {}",
                         chain.forwarded_count, backend_msgs
@@ -261,7 +279,7 @@ pub fn detect_case_with_oracle(
                         origin: outcome.origin.clone(),
                         front: Some(chain.proxy.clone()),
                         back: Some(replay.backend.clone()),
-                        culprits: pair_culprits.clone(),
+                        culprits: pair_culprits(),
                         evidence: format!(
                             "boundary disagreement: forwarded message is {} bytes, backend consumed {}",
                             len, first_reply.interpretation.consumed
@@ -273,11 +291,11 @@ pub fn detect_case_with_oracle(
             // HRS: framing-related rejection of a forwarded message the
             // proxy accepted.
             if let Outcome::Reject { status, reason } = &first_reply.interpretation.outcome {
-                let r = reason.to_ascii_lowercase();
-                if r.contains("content-length")
-                    || r.contains("transfer")
-                    || r.contains("chunk")
-                    || r.contains("body shorter")
+                let said = |needle: &[u8]| ascii::contains_ignore_case(reason.as_bytes(), needle);
+                if said(b"content-length")
+                    || said(b"transfer")
+                    || said(b"chunk")
+                    || said(b"body shorter")
                 {
                     findings.push(Finding {
                         class: AttackClass::Hrs,
@@ -285,7 +303,7 @@ pub fn detect_case_with_oracle(
                         origin: outcome.origin.clone(),
                         front: Some(chain.proxy.clone()),
                         back: Some(replay.backend.clone()),
-                        culprits: pair_culprits.clone(),
+                        culprits: pair_culprits(),
                         evidence: format!(
                             "proxy accepted but backend rejected framing ({status} {reason})"
                         ),

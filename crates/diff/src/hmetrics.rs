@@ -47,7 +47,7 @@ impl HMetrics {
             framing: i.outcome.is_accept().then_some(i.framing),
             consumed: i.consumed,
             repaired: i.repaired_chunked,
-            notes: i.notes.clone(),
+            notes: i.notes.iter().map(|n| n.to_string()).collect(),
         }
     }
 

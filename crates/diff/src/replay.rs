@@ -15,17 +15,17 @@
 //! per Table II catalog vector, built by [`regen_golden`] — is the
 //! regression gate: `hdiff replay --all tests/golden` must stay green.
 
+use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 
 use hdiff_servers::fault::{FaultInjector, FaultPlan, FaultSession};
-use hdiff_servers::ParserProfile;
+use hdiff_servers::{Interpretation, ParserProfile};
 
 use crate::checkpoint::{data_err, read_finding, write_finding};
 use crate::detect::detect_case_with_oracle;
 use crate::downgrade::{detect_downgrade, downgrade_digests, DowngradeWorkflow, Frontend};
 use crate::findings::Finding;
-use crate::hmetrics::HMetrics;
 use crate::json::{push_json_str, Json, Parser};
 use crate::minimize::{FindingContext, MinimizeOptions};
 use crate::syntax::SyntaxOracle;
@@ -140,7 +140,7 @@ impl ReplayBundle {
             request: bytes.to_vec(),
             fault,
             findings,
-            digests: digests_of(&outcome),
+            digests: behavior_digests(&outcome),
             transport: Transport::Sim,
             frontend: Frontend::H1,
             protocol: None,
@@ -208,7 +208,7 @@ impl ReplayBundle {
                     self.fault,
                     self.transport,
                 );
-                (findings, digests_of(&outcome))
+                (findings, behavior_digests(&outcome))
             }
             Frontend::H2 => {
                 let wf = DowngradeWorkflow::standard();
@@ -561,24 +561,67 @@ impl Default for Fnv {
     }
 }
 
-fn hash_metrics(h: &mut Fnv, m: &HMetrics) {
-    h.write(m.implementation.as_bytes());
-    h.write_u64(u64::from(m.status_code));
-    h.write_u64(u64::from(m.accepted));
-    match &m.host {
+/// Hashes one implementation's view of one message: the fields of its
+/// [`crate::HMetrics`] vector (all but the uuid), read straight from the
+/// interpretation so a digest copies nothing.
+fn hash_view(h: &mut Fnv, implementation: &str, i: &Interpretation) {
+    let accepted = i.outcome.is_accept();
+    h.write(implementation.as_bytes());
+    h.write_u64(u64::from(i.outcome.status()));
+    h.write_u64(u64::from(accepted));
+    match &i.host {
         None => h.write_u64(0),
         Some(host) => {
             h.write_u64(1);
             h.write(host);
         }
     }
-    h.write(&m.data);
-    h.write(format!("{:?}", m.framing).as_bytes());
-    h.write_u64(m.consumed as u64);
-    h.write_u64(u64::from(m.repaired));
-    for note in &m.notes {
+    h.write(&i.body);
+    // The framing enters as its `Debug` rendering (`Some(ContentLength(3))`).
+    let mut framing = DebugBuf::default();
+    write!(framing, "{:?}", accepted.then_some(i.framing)).expect("fits the buffer");
+    h.write(framing.as_bytes());
+    h.write_u64(i.consumed as u64);
+    h.write_u64(u64::from(i.repaired_chunked));
+    for note in &i.notes {
         h.write(note.as_bytes());
     }
+}
+
+/// A stack buffer for one short `Debug` rendering. The longest framing,
+/// `Some(ContentLength(18446744073709551615))`, is 41 bytes.
+struct DebugBuf {
+    buf: [u8; 48],
+    len: usize,
+}
+
+impl Default for DebugBuf {
+    fn default() -> DebugBuf {
+        DebugBuf { buf: [0; 48], len: 0 }
+    }
+}
+
+impl DebugBuf {
+    fn as_bytes(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
+}
+
+impl std::fmt::Write for DebugBuf {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        let end = self.len + s.len();
+        self.buf.get_mut(self.len..end).ok_or(std::fmt::Error)?.copy_from_slice(s.as_bytes());
+        self.len = end;
+        Ok(())
+    }
+}
+
+/// `prefix` + `name` in a string of exactly that size.
+fn label(prefix: &str, name: &str) -> String {
+    let mut s = String::with_capacity(prefix.len() + name.len());
+    s.push_str(prefix);
+    s.push_str(name);
+    s
 }
 
 /// Canonical behavior digests for one case outcome: one per direct
@@ -587,29 +630,19 @@ fn hash_metrics(h: &mut Fnv, m: &HMetrics) {
 /// The cross-transport consistency pass compares these digests between a
 /// sim and a TCP execution of the same case.
 pub fn behavior_digests(outcome: &CaseOutcome) -> Vec<(String, u64)> {
-    digests_of(outcome)
-}
-
-fn digests_of(outcome: &CaseOutcome) -> Vec<(String, u64)> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(outcome.direct.len() + outcome.chains.len());
     for (backend, replies) in &outcome.direct {
         let mut h = Fnv::new();
         for reply in replies {
-            hash_metrics(
-                &mut h,
-                &HMetrics::from_interpretation(outcome.uuid, backend, &reply.interpretation),
-            );
+            hash_view(&mut h, backend, &reply.interpretation);
             h.write_u64(u64::from(reply.response.status.as_u16()));
         }
-        out.push((format!("direct:{backend}"), h.0));
+        out.push((label("direct:", backend), h.0));
     }
     for chain in &outcome.chains {
         let mut h = Fnv::new();
         for r in &chain.proxy_results {
-            hash_metrics(
-                &mut h,
-                &HMetrics::from_interpretation(outcome.uuid, &chain.proxy, &r.interpretation),
-            );
+            hash_view(&mut h, &chain.proxy, &r.interpretation);
         }
         h.write(&chain.forwarded);
         h.write_u64(chain.forwarded_count as u64);
@@ -617,18 +650,11 @@ fn digests_of(outcome: &CaseOutcome) -> Vec<(String, u64)> {
             h.write(replay.backend.as_bytes());
             h.write_u64(u64::from(replay.cache_stored_error));
             for reply in &replay.replies {
-                hash_metrics(
-                    &mut h,
-                    &HMetrics::from_interpretation(
-                        outcome.uuid,
-                        &replay.backend,
-                        &reply.interpretation,
-                    ),
-                );
+                hash_view(&mut h, &replay.backend, &reply.interpretation);
                 h.write_u64(u64::from(reply.response.status.as_u16()));
             }
         }
-        out.push((format!("proxy:{}", chain.proxy), h.0));
+        out.push((label("proxy:", &chain.proxy), h.0));
     }
     out
 }

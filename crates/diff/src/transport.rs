@@ -49,13 +49,13 @@ use hdiff_net::{
     NetProxyConfig, NetServer, NetServerConfig, SendMode, ServerFault, WireClient,
 };
 use hdiff_servers::fault::{FaultKind, FaultSession, FaultStage};
-use hdiff_servers::{ParserProfile, Proxy, ProxyResult, ServerReply, ORIGIN_HOP};
+use hdiff_servers::{ParserProfile, ProxyResult, ServerReply, ORIGIN_HOP};
 
 use crate::findings::Finding;
 use crate::hmetrics::HMetrics;
 use crate::workflow::{
-    damaged_upstream_bytes, is_ambiguous, probe_relay, simulate_cache, CaseOutcome, ChainRun,
-    ReplayRun, Workflow,
+    damaged_upstream_bytes, probe_relay, simulate_cache, CaseOutcome, Forwarded, ReplayRun,
+    Workflow,
 };
 
 /// How a campaign executes its cases.
@@ -167,6 +167,7 @@ pub fn try_run_bytes_tcp(
     let origin_fault =
         faults.and_then(|s| s.decide(ORIGIN_HOP, FaultStage::OriginRespond)).map(|d| d.kind);
     let probe_bytes = origin_fault.and_then(damaged_upstream_bytes);
+    let wants_replay = workflow.wants_replay(&bytes);
 
     // Step 3: direct back-end interpretation, plus the listeners the
     // step-2 replays reuse (they carry the same origin-fault effect, just
@@ -219,8 +220,9 @@ pub fn try_run_bytes_tcp(
     }
 
     // Steps 1 and 2 per proxy.
-    let mut chains = Vec::new();
-    for proxy_profile in workflow.proxies() {
+    let mut chains = Vec::with_capacity(workflow.proxies().len());
+    for proxy_sim in workflow.proxy_hops() {
+        let proxy_profile = &proxy_sim.profile;
         let decision = faults.and_then(|s| s.peek(&proxy_profile.name, FaultStage::Forward));
         let raw_results = if faults.is_some_and(FaultSession::exhausted) {
             Vec::new() // the sim's charge fails before the first message
@@ -252,10 +254,9 @@ pub fn try_run_bytes_tcp(
             proxy_results.push(r);
         }
 
-        let forwarded = Forwarded::of(workflow, &proxy_results, &bytes);
+        let forwarded = Forwarded::of(&proxy_results, wants_replay);
         let mut replays = Vec::new();
         if forwarded.replay {
-            let proxy_sim = Proxy::new(proxy_profile.clone());
             for (backend_profile, net) in workflow.backends().iter().zip(&backend_nets) {
                 let raw = match (net, faults.is_some_and(FaultSession::exhausted)) {
                     (Some(server), false) => roundtrip(server, &forwarded.bytes, &SendMode::Whole),
@@ -270,7 +271,7 @@ pub fn try_run_bytes_tcp(
                     }
                     replies.push(reply);
                 }
-                let cache_stored_error = simulate_cache(&proxy_sim, &proxy_results, &replies);
+                let cache_stored_error = simulate_cache(proxy_sim, &proxy_results, &replies);
                 replays.push(ReplayRun {
                     backend: backend_profile.name.clone(),
                     replies,
@@ -284,15 +285,7 @@ pub fn try_run_bytes_tcp(
             _ => None,
         };
 
-        chains.push(ChainRun {
-            proxy: proxy_profile.name.clone(),
-            proxy_results,
-            forwarded: forwarded.bytes,
-            forwarded_count: forwarded.count,
-            forwarded_lens: forwarded.lens,
-            replays,
-            relay_reaction,
-        });
+        chains.push(forwarded.into_chain(proxy_profile, proxy_results, replays, relay_reaction));
     }
 
     Ok(CaseOutcome {
@@ -323,32 +316,6 @@ fn observed_exchange(addr: SocketAddr, bytes: &[u8], mode: &SendMode) {
     hdiff_obs::observe("net.exchange.rtt", rtt);
     if exchange.as_ref().is_ok_and(|e| e.timed_out) {
         hdiff_obs::count("net.exchange.timeout", 1);
-    }
-}
-
-/// A proxy's upstream stream as the sim derives it from the proxy's
-/// results: the forwarded messages concatenated, their count and
-/// lengths, and whether the chain replays the stream to the backends.
-struct Forwarded {
-    bytes: Vec<u8>,
-    count: usize,
-    lens: Vec<usize>,
-    replay: bool,
-}
-
-impl Forwarded {
-    fn of(workflow: &Workflow, results: &[ProxyResult], case_bytes: &[u8]) -> Forwarded {
-        let mut forwarded =
-            Forwarded { bytes: Vec::new(), count: 0, lens: Vec::new(), replay: false };
-        for f in results.iter().filter_map(|r| r.action.forwarded()) {
-            forwarded.bytes.extend_from_slice(f);
-            forwarded.lens.push(f.len());
-            forwarded.count += 1;
-        }
-        forwarded.replay = forwarded.count > 0
-            && results.iter().any(|r| r.interpretation.outcome.is_accept())
-            && (!workflow.replay_reduction || is_ambiguous(case_bytes));
-        forwarded
     }
 }
 
@@ -433,6 +400,7 @@ pub fn try_run_bytes_tcp_async(
         return try_run_bytes_tcp(workflow, uuid, origin, bytes, faults);
     }
     let bytes = bytes.to_vec();
+    let wants_replay = workflow.wants_replay(&bytes);
     // Parity with the blocking path's origin decision: no origin fault
     // pends (checked above), and `decide` records nothing when it
     // returns `None`.
@@ -489,7 +457,7 @@ pub fn try_run_bytes_tcp_async(
     let mut replay_jobs = Vec::new();
     let mut replayed = Vec::with_capacity(proxy_logs.len());
     for results in &proxy_logs {
-        let forwarded = Forwarded::of(workflow, results, &bytes);
+        let forwarded = Forwarded::of(results, wants_replay);
         if forwarded.replay {
             for l in backend_listeners {
                 replay_jobs.push(testbed.exchange_job(l, &forwarded.bytes, SendMode::Whole));
@@ -501,10 +469,11 @@ pub fn try_run_bytes_tcp_async(
         if replay_jobs.is_empty() { Vec::new() } else { testbed.run(replay_jobs) }.into_iter();
 
     // Then per proxy: message charges, then replays.
-    let mut chains = Vec::new();
-    for (((proxy_profile, out), full_results), replayed) in
-        workflow.proxies().iter().zip(proxy_outs).zip(proxy_logs).zip(replayed)
+    let mut chains = Vec::with_capacity(proxy_logs.len());
+    for (((proxy_sim, out), full_results), replayed) in
+        workflow.proxy_hops().iter().zip(proxy_outs).zip(proxy_logs).zip(replayed)
     {
+        let proxy_profile = &proxy_sim.profile;
         observe_async_exchange(out.as_exchange());
         let raw_results = if faults.is_some_and(FaultSession::exhausted) {
             Vec::new() // the sim's charge fails before the first message
@@ -528,7 +497,7 @@ pub fn try_run_bytes_tcp_async(
             proxy_results.push(r);
         }
 
-        let forwarded = Forwarded::of(workflow, &proxy_results, &bytes);
+        let forwarded = Forwarded::of(&proxy_results, wants_replay);
         // This proxy's slice of wave B, in backend order.
         let batched: Vec<JobOutput> = if replayed {
             replay_outs.by_ref().take(backend_listeners.len()).collect()
@@ -537,7 +506,6 @@ pub fn try_run_bytes_tcp_async(
         };
         let mut replays = Vec::new();
         if forwarded.replay {
-            let proxy_sim = Proxy::new(proxy_profile.clone());
             for (i, backend_profile) in workflow.backends().iter().enumerate() {
                 // The blocking path's per-backend exhaustion gate; a
                 // dropped replay is neither kept nor observed.
@@ -559,7 +527,7 @@ pub fn try_run_bytes_tcp_async(
                     }
                     replies.push(reply);
                 }
-                let cache_stored_error = simulate_cache(&proxy_sim, &proxy_results, &replies);
+                let cache_stored_error = simulate_cache(proxy_sim, &proxy_results, &replies);
                 replays.push(ReplayRun {
                     backend: backend_profile.name.clone(),
                     replies,
@@ -568,15 +536,8 @@ pub fn try_run_bytes_tcp_async(
             }
         }
 
-        chains.push(ChainRun {
-            proxy: proxy_profile.name.clone(),
-            proxy_results,
-            forwarded: forwarded.bytes,
-            forwarded_count: forwarded.count,
-            forwarded_lens: forwarded.lens,
-            replays,
-            relay_reaction: None, // an origin fault would have delegated
-        });
+        // No relay reaction: an origin fault would have delegated.
+        chains.push(forwarded.into_chain(proxy_profile, proxy_results, replays, None));
     }
 
     Ok(CaseOutcome {

@@ -14,12 +14,10 @@
 //! CPDoS model can check storability.
 
 use hdiff_gen::TestCase;
-use hdiff_servers::cache::{CacheKey, StoreDecision};
+use hdiff_servers::cache::StoreDecision;
 use hdiff_servers::fault::{FaultEvent, FaultKind, FaultSession, FaultStage};
 use hdiff_servers::response_path::{relay_response, RelayAction};
-use hdiff_servers::{
-    EchoServer, ParserProfile, Proxy, ProxyResult, Server, ServerReply, ORIGIN_HOP,
-};
+use hdiff_servers::{ParserProfile, Proxy, ProxyResult, Server, ServerReply, ORIGIN_HOP};
 
 /// One back-end's replies to a byte stream.
 #[derive(Debug, Clone)]
@@ -95,6 +93,11 @@ pub struct CaseOutcome {
 pub struct Workflow {
     proxies: Vec<ParserProfile>,
     backends: Vec<ParserProfile>,
+    /// The proxies as runnable hops, built once: every case drives each
+    /// of them, and rebuilding one per call would clone its profile.
+    proxy_hops: Vec<Proxy>,
+    /// The back-ends as runnable hops, built once (see `proxy_hops`).
+    backend_hops: Vec<Server>,
     /// Replay-reduction switch (on by default, like the paper).
     pub replay_reduction: bool,
 }
@@ -102,7 +105,9 @@ pub struct Workflow {
 impl Workflow {
     /// Builds a workflow over proxy and back-end profiles.
     pub fn new(proxies: Vec<ParserProfile>, backends: Vec<ParserProfile>) -> Workflow {
-        Workflow { proxies, backends, replay_reduction: true }
+        let proxy_hops = proxies.iter().cloned().map(Proxy::new).collect();
+        let backend_hops = backends.iter().cloned().map(Server::new).collect();
+        Workflow { proxies, backends, proxy_hops, backend_hops, replay_reduction: true }
     }
 
     /// The standard Fig. 6 environment: six proxies, six back-ends.
@@ -118,6 +123,19 @@ impl Workflow {
     /// The back-ends under test.
     pub fn backends(&self) -> &[ParserProfile] {
         &self.backends
+    }
+
+    /// The proxies as hops, in [`Workflow::proxies`] order.
+    pub(crate) fn proxy_hops(&self) -> &[Proxy] {
+        &self.proxy_hops
+    }
+
+    /// Whether a proxy chain that forwarded `bytes` replays them to the
+    /// back-ends: always without replay reduction, otherwise when the
+    /// client bytes are ambiguous. It depends on the case only, so each
+    /// execution path asks once per case, not once per chain.
+    pub(crate) fn wants_replay(&self, bytes: &[u8]) -> bool {
+        !self.replay_reduction || is_ambiguous(bytes)
     }
 
     /// Runs all three steps for one test case.
@@ -155,51 +173,35 @@ impl Workflow {
         bytes: &[u8],
         faults: Option<&FaultSession<'_>>,
     ) -> CaseOutcome {
-        let bytes = bytes.to_vec();
         let origin_fault =
             faults.and_then(|s| s.decide(ORIGIN_HOP, FaultStage::OriginRespond)).map(|d| d.kind);
         let probe_bytes = origin_fault.and_then(damaged_upstream_bytes);
+        let wants_replay = self.wants_replay(bytes);
 
         // Step 3: direct back-end interpretation.
         let direct: Vec<(String, Vec<ServerReply>)> = self
-            .backends
+            .backend_hops
             .iter()
-            .map(|b| (b.name.clone(), Server::new(b.clone()).handle_stream_faulted(&bytes, faults)))
+            .map(|b| (b.profile.name.clone(), b.handle_stream_faulted(bytes, faults)))
             .collect();
 
-        // Steps 1 and 2 per proxy.
-        let mut chains = Vec::new();
-        for proxy_profile in &self.proxies {
-            let proxy = Proxy::new(proxy_profile.clone());
-            let mut echo = EchoServer::new();
-            let proxy_results = proxy.forward_stream_faulted(&bytes, faults);
-            let mut forwarded = Vec::new();
-            let mut forwarded_count = 0usize;
-            let mut forwarded_lens = Vec::new();
-            for r in &proxy_results {
-                if let Some(f) = r.action.forwarded() {
-                    echo.receive(f);
-                    forwarded.extend_from_slice(f);
-                    forwarded_lens.push(f.len());
-                    forwarded_count += 1;
-                }
-            }
-
-            let any_accepted = proxy_results.iter().any(|r| r.interpretation.outcome.is_accept());
-            let should_replay = forwarded_count > 0
-                && any_accepted
-                && (!self.replay_reduction || is_ambiguous(&bytes));
+        // Steps 1 and 2 per proxy. The echo origin of Fig. 6 only records
+        // what the proxy forwarded, which `Forwarded` collects directly.
+        let mut chains = Vec::with_capacity(self.proxy_hops.len());
+        for proxy in &self.proxy_hops {
+            let proxy_results = proxy.forward_stream_faulted(bytes, faults);
+            let forwarded = Forwarded::of(&proxy_results, wants_replay);
 
             let mut replays = Vec::new();
-            if should_replay {
-                for backend_profile in &self.backends {
-                    let backend = Server::new(backend_profile.clone());
-                    let replies = backend.handle_stream_faulted(&forwarded, faults);
+            if forwarded.replay {
+                replays.reserve_exact(self.backend_hops.len());
+                for backend in &self.backend_hops {
+                    let replies = backend.handle_stream_faulted(&forwarded.bytes, faults);
                     // Feed the proxy cache with the first backend response
                     // under the proxy's own view of the request.
-                    let cache_stored_error = simulate_cache(&proxy, &proxy_results, &replies);
+                    let cache_stored_error = simulate_cache(proxy, &proxy_results, &replies);
                     replays.push(ReplayRun {
-                        backend: backend_profile.name.clone(),
+                        backend: backend.profile.name.clone(),
                         replies,
                         cache_stored_error,
                     });
@@ -207,29 +209,77 @@ impl Workflow {
             }
 
             let relay_reaction = match (&origin_fault, &probe_bytes) {
-                (Some(kind), Some(probe)) => Some(probe_relay(proxy_profile, *kind, probe)),
+                (Some(kind), Some(probe)) => Some(probe_relay(&proxy.profile, *kind, probe)),
                 _ => None,
             };
 
-            chains.push(ChainRun {
-                proxy: proxy_profile.name.clone(),
+            chains.push(forwarded.into_chain(
+                &proxy.profile,
                 proxy_results,
-                forwarded,
-                forwarded_count,
-                forwarded_lens,
                 replays,
                 relay_reaction,
-            });
+            ));
         }
 
         CaseOutcome {
             uuid,
             origin: origin.to_string(),
-            bytes,
+            bytes: bytes.to_vec(),
             chains,
             direct,
             fault_events: faults.map(|s| s.events()).unwrap_or_default(),
             budget_exhausted: faults.is_some_and(FaultSession::exhausted),
+        }
+    }
+}
+
+/// A proxy's upstream stream as every execution path derives it from the
+/// proxy's results: the forwarded messages concatenated, their count and
+/// lengths, and whether the chain replays the stream to the back-ends.
+pub(crate) struct Forwarded {
+    pub(crate) bytes: Vec<u8>,
+    pub(crate) count: usize,
+    pub(crate) lens: Vec<usize>,
+    pub(crate) replay: bool,
+}
+
+impl Forwarded {
+    /// `wants_replay` is the case's [`Workflow::wants_replay`] verdict.
+    pub(crate) fn of(results: &[ProxyResult], wants_replay: bool) -> Forwarded {
+        let total = results.iter().filter_map(|r| r.action.forwarded()).map(<[u8]>::len).sum();
+        let mut forwarded = Forwarded {
+            bytes: Vec::with_capacity(total),
+            count: 0,
+            lens: Vec::with_capacity(results.len()),
+            replay: false,
+        };
+        for f in results.iter().filter_map(|r| r.action.forwarded()) {
+            forwarded.bytes.extend_from_slice(f);
+            forwarded.lens.push(f.len());
+            forwarded.count += 1;
+        }
+        forwarded.replay = forwarded.count > 0
+            && results.iter().any(|r| r.interpretation.outcome.is_accept())
+            && wants_replay;
+        forwarded
+    }
+
+    /// The chain record of `proxy`'s run.
+    pub(crate) fn into_chain(
+        self,
+        proxy: &ParserProfile,
+        proxy_results: Vec<ProxyResult>,
+        replays: Vec<ReplayRun>,
+        relay_reaction: Option<FaultReaction>,
+    ) -> ChainRun {
+        ChainRun {
+            proxy: proxy.name.clone(),
+            proxy_results,
+            forwarded: self.bytes,
+            forwarded_count: self.count,
+            forwarded_lens: self.lens,
+            replays,
+            relay_reaction,
         }
     }
 }
@@ -304,13 +354,9 @@ pub(crate) fn simulate_cache(
     if !first_proxy.interpretation.outcome.is_accept() {
         return false;
     }
-    let mut cache = proxy.cache.clone();
-    let key = CacheKey::new(
-        first_proxy.interpretation.host.clone().unwrap_or_default(),
-        first_proxy.interpretation.target.clone(),
-    );
-    let decision = cache.store(
-        key,
+    // Only the decision matters: the cache is per case, so whether the
+    // proxy would store the reply is the whole observation.
+    let decision = proxy.cache.decide(
         &first_proxy.interpretation.method,
         &first_proxy.interpretation.version,
         &first_reply.response,

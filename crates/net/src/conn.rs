@@ -27,7 +27,7 @@
 
 use hdiff_servers::fault::{FaultDecision, FaultKind};
 use hdiff_servers::{
-    EchoServer, ForwardAction, Interpretation, Outcome, ProxyResult, Server, ServerReply,
+    echo, ForwardAction, Interpretation, Outcome, ProxyResult, Server, ServerReply,
 };
 use hdiff_wire::{Response, StatusCode};
 
@@ -471,7 +471,7 @@ impl Machine for Echo {
             }
             // EOF, an error or the deadline: answer what arrived.
             _ => {
-                self.out = EchoServer::respond(&self.buf).to_bytes();
+                self.out = echo::respond(&self.buf).to_bytes();
                 self.closed = true;
             }
         }

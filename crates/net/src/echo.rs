@@ -4,7 +4,7 @@
 //! proxy opens a fresh connection per message), so the echo learns exact
 //! message boundaries without parsing: a `conn::Echo` machine reads one
 //! connection to EOF and echoes the bytes back in a 200 response — the
-//! same response as the in-process [`hdiff_servers::EchoServer`] — and
+//! same response as the in-process [`hdiff_servers::echo::respond`] — and
 //! the listener records the message.
 
 use std::net::SocketAddr;

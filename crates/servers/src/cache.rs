@@ -73,6 +73,21 @@ impl Cache {
         request_version: &Version,
         response: &Response,
     ) -> StoreDecision {
+        let decision = self.decide(method, request_version, response);
+        if decision == StoreDecision::Stored {
+            self.entries.insert(key, response.clone());
+        }
+        decision
+    }
+
+    /// The decision [`Cache::store`] would make, without storing (and so
+    /// without copying the response).
+    pub fn decide(
+        &self,
+        method: &[u8],
+        request_version: &Version,
+        response: &Response,
+    ) -> StoreDecision {
         if !self.policy.enabled {
             return StoreDecision::Disabled;
         }
@@ -85,7 +100,6 @@ impl Cache {
         if request_version.is_pre_1_1() && !self.policy.store_pre11 {
             return StoreDecision::Pre11NotStorable;
         }
-        self.entries.insert(key, response.clone());
         StoreDecision::Stored
     }
 

@@ -23,7 +23,7 @@
 //! * [`downgrade`] — HTTP/2 front-end models: pseudo-headers back into
 //!   request-line/`Host`, `Content-Length` reconstruction, forbidden
 //!   header handling — the h2→h1 translation gap surface.
-//! * [`echo`] — the recording echo origin of Fig. 6.
+//! * [`echo`] — the echo origin of Fig. 6.
 //! * [`mod@products`] — the ten product profiles.
 
 pub mod cache;
@@ -44,7 +44,6 @@ pub use downgrade::{
     fronts, AuthorityPolicy, ClPolicy, DowngradeOutcome, DowngradeProfile, PathPolicy,
     SanitizePolicy, TePolicy,
 };
-pub use echo::EchoServer;
 pub use engine::{interpret, FramingChoice, Interpretation, Outcome};
 pub use fault::{
     FaultDecision, FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultSession, FaultStage,

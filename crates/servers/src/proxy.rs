@@ -7,7 +7,7 @@
 //! [`crate::profile::ProxyBehavior`] toggle.
 
 use hdiff_wire::ascii;
-use hdiff_wire::uri::{Authority, RequestTarget};
+use hdiff_wire::uri::{Authority, TargetRef};
 use hdiff_wire::version::Version;
 use hdiff_wire::{encode_chunked, Response, StatusCode};
 
@@ -15,6 +15,11 @@ use crate::cache::Cache;
 use crate::engine::{interpret, FramingChoice, Interpretation, Outcome};
 use crate::fault::{FaultKind, FaultSession, FaultStage};
 use crate::profile::{ForwardVersion, ParserProfile, RewriteAbsUri, VersionPolicy};
+
+/// The hop-by-hop fields a stripping proxy always removes (RFC 7230
+/// §6.1), by canonical name.
+const HOP_BY_HOP: [&str; 5] =
+    ["connection", "keep-alive", "proxy-authorization", "proxy-authenticate", "te"];
 
 /// What the proxy did with one parsed message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,8 +79,8 @@ impl Proxy {
         let interpretation = interpret(&self.profile, input);
         match &interpretation.outcome {
             Outcome::Reject { status, reason } => {
-                let mut r = Response::with_body(StatusCode(*status), reason.clone());
-                r.headers.push("Server", self.profile.name.clone());
+                let mut r = Response::with_body(StatusCode(*status), reason.as_bytes());
+                r.headers.push("Server", &self.profile.name);
                 ProxyResult { action: ForwardAction::Rejected(r), interpretation }
             }
             Outcome::Accept => {
@@ -155,37 +160,30 @@ impl Proxy {
     /// Returns the bytes and the rewritten Host identity, if any.
     fn rebuild(&self, input: &[u8], i: &Interpretation) -> (Vec<u8>, Option<Vec<u8>>) {
         let behavior = self.profile.proxy.as_ref().expect("proxy behavior checked in new");
-        let mut out = Vec::new();
+        // Room for the message as received plus a rewritten Host and the
+        // Via line.
+        let mut out = Vec::with_capacity(i.consumed + self.profile.name.len() + 64);
 
         // ---- request line -------------------------------------------------
-        let target = RequestTarget::classify(&i.target);
-        let (target_bytes, rewritten_host): (Vec<u8>, Option<Vec<u8>>) =
-            match (&target, behavior.rewrite_abs_uri) {
-                (RequestTarget::Absolute { .. }, RewriteAbsUri::Always) => {
-                    let origin = target.to_origin_form().expect("absolute form");
-                    let host =
-                        target.authority().map(|a| Authority::parse(a).host.to_ascii_lowercase());
-                    (origin, host)
-                }
-                (RequestTarget::Absolute { .. }, RewriteAbsUri::OnlyHttpScheme) => {
-                    if target.is_http_absolute() {
-                        let origin = target.to_origin_form().expect("absolute form");
-                        let host = target
-                            .authority()
-                            .map(|a| Authority::parse(a).host.to_ascii_lowercase());
-                        (origin, host)
-                    } else {
-                        // Non-http scheme: forwarded transparently — the
-                        // Varnish HoT gap.
-                        (i.target.clone(), None)
-                    }
-                }
-                _ => (i.target.clone(), None),
-            };
+        // A non-http scheme under `OnlyHttpScheme` is forwarded
+        // transparently — the Varnish HoT gap.
+        let target = TargetRef::classify(&i.target);
+        let rewrite = match behavior.rewrite_abs_uri {
+            RewriteAbsUri::Always => true,
+            RewriteAbsUri::OnlyHttpScheme => target.is_http_absolute(),
+            RewriteAbsUri::Never => false,
+        };
+        let (target_bytes, rewritten_host): (&[u8], Option<Vec<u8>>) = match target.to_origin_form()
+        {
+            Some(origin) if rewrite => {
+                (origin, target.authority().map(|a| Authority::host_of(a).to_ascii_lowercase()))
+            }
+            _ => (&i.target, None),
+        };
 
         out.extend_from_slice(&i.method);
         out.push(b' ');
-        out.extend_from_slice(&target_bytes);
+        out.extend_from_slice(target_bytes);
         match (&i.version, self.profile.version_policy, behavior.forward_version) {
             (Version::Invalid(raw), VersionPolicy::RepairAppend, _) => {
                 // Keep the bad token and append the own version — the
@@ -212,23 +210,18 @@ impl Proxy {
         out.extend_from_slice(b"\r\n");
 
         // ---- headers -------------------------------------------------------
-        // Hop-by-hop removal set from Connection headers.
-        let mut hop_names: Vec<Vec<u8>> = Vec::new();
-        if behavior.strip_hop_by_hop {
-            for h in i.recognized("connection") {
-                for part in h.field.value().split(|&b| b == b',') {
-                    let name = ascii::trim_ows(part).to_ascii_lowercase();
-                    if !name.is_empty() {
-                        hop_names.push(name);
-                    }
-                }
-            }
-            hop_names.push(b"connection".to_vec());
-            hop_names.push(b"keep-alive".to_vec());
-            hop_names.push(b"proxy-authorization".to_vec());
-            hop_names.push(b"proxy-authenticate".to_vec());
-            hop_names.push(b"te".to_vec());
-        }
+        // Hop-by-hop removal: the fixed set plus every name a Connection
+        // header nominates.
+        let is_hop_by_hop = |canon: &str| {
+            behavior.strip_hop_by_hop
+                && (HOP_BY_HOP.contains(&canon)
+                    || i.recognized("connection").any(|h| {
+                        h.field.value().split(|&b| b == b',').any(|part| {
+                            let name = ascii::trim_ows(part);
+                            !name.is_empty() && name.eq_ignore_ascii_case(canon.as_bytes())
+                        })
+                    }))
+        };
 
         let is_bodyless = i.method == b"GET" || i.method == b"HEAD";
         let mut wrote_host = false;
@@ -236,7 +229,7 @@ impl Proxy {
             let canon = h.canon.as_deref();
             // Hop-by-hop stripping (by canonical name).
             if let Some(c) = canon {
-                if hop_names.iter().any(|n| n.as_slice() == c.as_bytes()) {
+                if is_hop_by_hop(c) {
                     continue;
                 }
                 if c == "host" {
@@ -275,7 +268,7 @@ impl Proxy {
             } else if behavior.add_host_from_uri && i.recognized("host").next().is_none() {
                 if let Some(auth) = target.authority() {
                     out.extend_from_slice(b"Host: ");
-                    out.extend_from_slice(&Authority::parse(auth).host.to_ascii_lowercase());
+                    out.extend(Authority::host_of(auth).iter().map(u8::to_ascii_lowercase));
                     out.extend_from_slice(b"\r\n");
                 }
             }

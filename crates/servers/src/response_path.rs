@@ -14,7 +14,7 @@ use hdiff_wire::chunked::decode_chunked;
 use hdiff_wire::header::HeaderField;
 use hdiff_wire::{Response, StatusCode};
 
-use crate::engine::{ClassifiedHeader, FramingChoice};
+use crate::engine::{canon_name, ClassifiedHeader, FramingChoice};
 use crate::fault::{FaultKind, FaultSession, FaultStage};
 use crate::profile::{NamePolicy, ObsFoldPolicy, ParserProfile, WsColonPolicy};
 
@@ -149,26 +149,23 @@ pub fn relay_response(profile: &ParserProfile, input: &[u8]) -> RelayAction {
                 // response before forwarding — every policy normalizes.
                 WsColonPolicy::Reject | WsColonPolicy::AcceptUse | WsColonPolicy::TreatUnknown => {
                     notes.push("normalized ws-colon response header".to_string());
-                    Some(String::from_utf8_lossy(field.name_trimmed()).to_ascii_lowercase())
+                    Some(canon_name(field.name_trimmed()))
                 }
             }
         } else if ascii::is_token(field.name_raw()) {
-            Some(String::from_utf8_lossy(field.name_raw()).to_ascii_lowercase())
+            Some(canon_name(field.name_raw()))
         } else {
             match profile.name_policy {
                 NamePolicy::Reject => return bad_gateway("invalid upstream header name"),
                 NamePolicy::TreatUnknown => None,
-                NamePolicy::Strip => Some(
-                    String::from_utf8_lossy(
-                        &field
-                            .name_raw()
-                            .iter()
-                            .copied()
-                            .filter(|&b| ascii::is_tchar(b))
-                            .collect::<Vec<u8>>(),
-                    )
-                    .to_ascii_lowercase(),
-                ),
+                NamePolicy::Strip => Some(canon_name(
+                    &field
+                        .name_raw()
+                        .iter()
+                        .copied()
+                        .filter(|&b| ascii::is_tchar(b))
+                        .collect::<Vec<u8>>(),
+                )),
             }
         };
         headers.push(ClassifiedHeader { field, canon });

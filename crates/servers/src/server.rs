@@ -2,7 +2,7 @@
 //! responses describing the interpretation (the paper's back-end feedback
 //! "through application scripting languages, such as PHP, and ASPX").
 
-use hdiff_wire::{Response, StatusCode};
+use hdiff_wire::{ascii, Response, StatusCode};
 
 use crate::engine::{interpret, Interpretation, Outcome};
 use crate::fault::{FaultKind, FaultSession, FaultStage};
@@ -90,12 +90,10 @@ impl Server {
             let rejected = !reply.interpretation.outcome.is_accept();
             match fault.map(|d| d.kind) {
                 Some(FaultKind::Transient5xx) => {
-                    let mut r = Response::with_body(
+                    reply.response = self.signed(Response::with_body(
                         StatusCode(503),
-                        "injected transient upstream error".to_string(),
-                    );
-                    r.headers.push("Server", self.profile.name.clone());
-                    reply.response = r;
+                        "injected transient upstream error",
+                    ));
                 }
                 Some(FaultKind::TruncateResponse) => {
                     let keep = reply.response.body.len() / 2;
@@ -120,25 +118,33 @@ impl Server {
         match &i.outcome {
             Outcome::Accept => {
                 let host = i.host.as_deref().unwrap_or(b"-");
-                let mut body = Vec::new();
+                let mut digits = [0; 20];
+                let len = ascii::format_dec(i.body.len() as u64, &mut digits);
+                let mut body = Vec::with_capacity(
+                    host.len() + i.method.len() + i.target.len() + len.len() + i.body.len() + 32,
+                );
                 body.extend_from_slice(b"host=");
                 body.extend_from_slice(host);
                 body.extend_from_slice(b";method=");
                 body.extend_from_slice(&i.method);
                 body.extend_from_slice(b";target=");
                 body.extend_from_slice(&i.target);
-                body.extend_from_slice(format!(";len={};data=", i.body.len()).as_bytes());
+                body.extend_from_slice(b";len=");
+                body.extend_from_slice(len);
+                body.extend_from_slice(b";data=");
                 body.extend_from_slice(&i.body);
-                let mut r = Response::with_body(StatusCode::OK, body);
-                r.headers.push("Server", self.profile.name.clone());
-                r
+                self.signed(Response::with_body(StatusCode::OK, body))
             }
             Outcome::Reject { status, reason } => {
-                let mut r = Response::with_body(StatusCode(*status), reason.clone());
-                r.headers.push("Server", self.profile.name.clone());
-                r
+                self.signed(Response::with_body(StatusCode(*status), reason.as_bytes()))
             }
         }
+    }
+
+    /// Adds the `Server: <product>` header every reply carries.
+    fn signed(&self, mut r: Response) -> Response {
+        r.headers.push("Server", &self.profile.name);
+        r
     }
 }
 

@@ -76,6 +76,35 @@ pub fn eq_ignore_case(a: &[u8], b: &[u8]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.eq_ignore_ascii_case(y))
 }
 
+/// Whether `needle` occurs in `haystack`, ASCII case-insensitively.
+///
+/// ```
+/// assert!(hdiff_wire::ascii::contains_ignore_case(b"x\x0bChunked", b"chunked"));
+/// ```
+pub fn contains_ignore_case(haystack: &[u8], needle: &[u8]) -> bool {
+    needle.is_empty() || haystack.windows(needle.len()).any(|w| eq_ignore_case(w, needle))
+}
+
+/// Renders `v` in decimal into `buf` and returns the digits — the
+/// allocation-free `v.to_string().as_bytes()`.
+///
+/// ```
+/// let mut buf = [0; 20];
+/// assert_eq!(hdiff_wire::ascii::format_dec(1234, &mut buf), b"1234");
+/// assert_eq!(hdiff_wire::ascii::format_dec(0, &mut buf), b"0");
+/// ```
+pub fn format_dec(mut v: u64, buf: &mut [u8; 20]) -> &[u8] {
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            return &buf[i..];
+        }
+    }
+}
+
 /// Lowercases a byte slice into an owned vector (ASCII only).
 pub fn to_lower(s: &[u8]) -> Vec<u8> {
     s.to_ascii_lowercase()

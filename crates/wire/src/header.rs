@@ -141,6 +141,11 @@ impl Headers {
         Headers::default()
     }
 
+    /// Creates an empty header list with room for `n` fields.
+    pub fn with_capacity(n: usize) -> Headers {
+        Headers { fields: Vec::with_capacity(n) }
+    }
+
     /// Number of fields.
     pub fn len(&self) -> usize {
         self.fields.len()
@@ -177,14 +182,13 @@ impl Headers {
     }
 
     /// All fields whose trimmed name matches `name` case-insensitively.
-    pub fn all<'s>(&'s self, name: &[u8]) -> impl Iterator<Item = &'s HeaderField> + 's {
-        let name = name.to_vec();
-        self.fields.iter().filter(move |f| f.is(&name))
+    pub fn all<'s>(&'s self, name: &'s [u8]) -> impl Iterator<Item = &'s HeaderField> + 's {
+        self.fields.iter().filter(move |f| f.is(name))
     }
 
     /// The first field matching `name` (trimmed, case-insensitive).
     pub fn first(&self, name: &[u8]) -> Option<&HeaderField> {
-        self.all(name).next()
+        self.fields.iter().find(|f| f.is(name))
     }
 
     /// The last field matching `name`.
@@ -194,7 +198,7 @@ impl Headers {
 
     /// Count of fields matching `name`.
     pub fn count(&self, name: &[u8]) -> usize {
-        self.all(name).count()
+        self.fields.iter().filter(|f| f.is(name)).count()
     }
 
     /// Removes every field matching `name` (trimmed, case-insensitive),
@@ -215,12 +219,18 @@ impl Headers {
 
     /// Serializes all fields, each terminated by CRLF.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.wire_len());
+        self.write_to(&mut out);
+        out
+    }
+
+    /// Appends [`Headers::to_bytes`] to `out` without an intermediate
+    /// buffer.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
         for f in &self.fields {
             out.extend_from_slice(f.raw());
             out.extend_from_slice(b"\r\n");
         }
-        out
     }
 
     /// Total serialized size in bytes (used by header-oversize checks).

@@ -53,7 +53,7 @@ pub use method::Method;
 pub use parse::{parse_request, parse_response, ParseError, ParsedRequest, ParsedResponse};
 pub use request::{Request, RequestBuilder};
 pub use response::{Response, StatusCode};
-pub use uri::{Authority, HostParseOptions, RequestTarget};
+pub use uri::{Authority, HostParseOptions, RequestTarget, TargetRef};
 pub use version::Version;
 
 /// Carriage-return/line-feed line terminator used throughout HTTP/1.x.

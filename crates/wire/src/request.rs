@@ -121,11 +121,11 @@ impl Request {
     /// Serializes the full request: request line, headers, blank line, body.
     pub fn to_bytes(&self) -> Vec<u8> {
         let line = self.request_line();
-        let headers = self.headers.to_bytes();
-        let mut out = Vec::with_capacity(line.len() + 2 + headers.len() + 2 + self.body.len());
+        let mut out =
+            Vec::with_capacity(line.len() + 2 + self.headers.wire_len() + 2 + self.body.len());
         out.extend_from_slice(&line);
         out.extend_from_slice(b"\r\n");
-        out.extend_from_slice(&headers);
+        self.headers.write_to(&mut out);
         out.extend_from_slice(b"\r\n");
         out.extend_from_slice(&self.body);
         out

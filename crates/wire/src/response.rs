@@ -1,7 +1,9 @@
 //! HTTP response representation.
 
+use std::borrow::Cow;
 use std::fmt;
 
+use crate::ascii;
 use crate::header::Headers;
 
 /// An HTTP status code, kept as a bare `u16` newtype so simulated products
@@ -106,14 +108,18 @@ impl From<u16> for StatusCode {
 }
 
 /// A byte-exact HTTP response.
+///
+/// The reason phrase and version token are borrowed from static tables
+/// when the response is built here, and owned only when parsed off the
+/// wire: every simulated reply would otherwise allocate both.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
     /// Status code of the status line.
     pub status: StatusCode,
     /// Reason phrase (may be empty).
-    pub reason: Vec<u8>,
+    pub reason: Cow<'static, [u8]>,
     /// Version token on the status line.
-    pub version: Vec<u8>,
+    pub version: Cow<'static, [u8]>,
     /// Header fields in wire order.
     pub headers: Headers,
     /// Body bytes.
@@ -125,34 +131,42 @@ impl Response {
     pub fn new(status: StatusCode) -> Response {
         Response {
             status,
-            reason: status.reason().as_bytes().to_vec(),
-            version: b"HTTP/1.1".to_vec(),
+            reason: Cow::Borrowed(status.reason().as_bytes()),
+            version: Cow::Borrowed(b"HTTP/1.1"),
             headers: Headers::new(),
             body: Vec::new(),
         }
     }
 
     /// Builds a response with a body and a matching `Content-Length`.
+    /// Room is reserved for one more header (the `Server` line every
+    /// simulated product adds).
     pub fn with_body(status: StatusCode, body: impl Into<Vec<u8>>) -> Response {
         let body = body.into();
         let mut r = Response::new(status);
-        r.headers.push("Content-Length", body.len().to_string());
+        let mut digits = [0; 20];
+        r.headers = Headers::with_capacity(2);
+        r.headers.push("Content-Length", ascii::format_dec(body.len() as u64, &mut digits));
         r.body = body;
         r
     }
 
     /// Serializes the response: status line, headers, blank line, body.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        // Status line: version, SP, up to five digits, SP, reason, CRLF;
+        // then the header block, CRLF and the body.
+        let mut out = Vec::with_capacity(
+            self.version.len() + self.reason.len() + self.headers.wire_len() + self.body.len() + 11,
+        );
         out.extend_from_slice(&self.version);
         out.push(b' ');
-        out.extend_from_slice(self.status.0.to_string().as_bytes());
+        out.extend_from_slice(ascii::format_dec(u64::from(self.status.0), &mut [0; 20]));
         if !self.reason.is_empty() {
             out.push(b' ');
             out.extend_from_slice(&self.reason);
         }
         out.extend_from_slice(b"\r\n");
-        out.extend_from_slice(&self.headers.to_bytes());
+        self.headers.write_to(&mut out);
         out.extend_from_slice(b"\r\n");
         out.extend_from_slice(&self.body);
         out
@@ -188,7 +202,7 @@ mod tests {
     #[test]
     fn empty_reason_omits_space() {
         let mut r = Response::new(StatusCode(299));
-        r.reason.clear();
+        r.reason = Cow::Borrowed(b"");
         assert!(r.to_bytes().starts_with(b"HTTP/1.1 299\r\n"));
     }
 

@@ -49,43 +49,19 @@ impl RequestTarget {
     /// assert_eq!(RequestTarget::classify(b"*"), RequestTarget::Asterisk);
     /// ```
     pub fn classify(raw: &[u8]) -> RequestTarget {
-        if raw == b"*" {
-            return RequestTarget::Asterisk;
-        }
-        if raw.first() == Some(&b'/') {
-            let (path, query) = match raw.iter().position(|&b| b == b'?') {
-                Some(i) => (raw[..i].to_vec(), Some(raw[i + 1..].to_vec())),
-                None => (raw.to_vec(), None),
-            };
-            return RequestTarget::Origin { path, query };
-        }
-        if let Some(colon) = raw.iter().position(|&b| b == b':') {
-            let scheme = &raw[..colon];
-            if is_scheme(scheme) && raw[colon + 1..].starts_with(b"//") {
-                let after = &raw[colon + 3..];
-                let end = after
-                    .iter()
-                    .position(|&b| b == b'/' || b == b'?' || b == b'#')
-                    .unwrap_or(after.len());
-                return RequestTarget::Absolute {
-                    scheme: scheme.to_vec(),
-                    authority: after[..end].to_vec(),
-                    rest: after[end..].to_vec(),
-                };
+        match TargetRef::classify(raw) {
+            TargetRef::Origin { path, query } => {
+                RequestTarget::Origin { path: path.to_vec(), query: query.map(<[u8]>::to_vec) }
             }
-            // authority-form with a port, e.g. `example.com:443`.
-            if !scheme.is_empty()
-                && raw[colon + 1..].iter().all(u8::is_ascii_digit)
-                && !raw[colon + 1..].is_empty()
-                && looks_like_host(scheme)
-            {
-                return RequestTarget::Authority(raw.to_vec());
-            }
+            TargetRef::Absolute { scheme, authority, rest } => RequestTarget::Absolute {
+                scheme: scheme.to_vec(),
+                authority: authority.to_vec(),
+                rest: rest.to_vec(),
+            },
+            TargetRef::Authority(a) => RequestTarget::Authority(a.to_vec()),
+            TargetRef::Asterisk => RequestTarget::Asterisk,
+            TargetRef::Invalid(raw) => RequestTarget::Invalid(raw.to_vec()),
         }
-        if looks_like_host(raw) && !raw.is_empty() {
-            return RequestTarget::Authority(raw.to_vec());
-        }
-        RequestTarget::Invalid(raw.to_vec())
     }
 
     /// The authority bytes carried by this target, if any.
@@ -96,28 +72,104 @@ impl RequestTarget {
             _ => None,
         }
     }
+}
 
-    /// The scheme, if this is absolute-form.
-    pub fn scheme(&self) -> Option<&[u8]> {
-        match self {
-            RequestTarget::Absolute { scheme, .. } => Some(scheme),
+/// A [`RequestTarget`] classification borrowed from the raw bytes, for
+/// callers that only inspect the target (a proxy rewriting it, an
+/// engine reading its authority) and need no owned copy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TargetRef<'a> {
+    /// `origin-form`.
+    Origin {
+        /// Path component, beginning with `/`.
+        path: &'a [u8],
+        /// Query (bytes after `?`), if present.
+        query: Option<&'a [u8]>,
+    },
+    /// `absolute-form`.
+    Absolute {
+        /// URI scheme, verbatim.
+        scheme: &'a [u8],
+        /// Raw authority bytes between `//` and the next `/`, `?` or `#`.
+        authority: &'a [u8],
+        /// Remainder (path + query), may be empty.
+        rest: &'a [u8],
+    },
+    /// `authority-form`.
+    Authority(&'a [u8]),
+    /// `asterisk-form`.
+    Asterisk,
+    /// Anything else.
+    Invalid(&'a [u8]),
+}
+
+impl<'a> TargetRef<'a> {
+    /// Classifies raw request-target bytes (the rules of
+    /// [`RequestTarget::classify`]).
+    ///
+    /// ```
+    /// use hdiff_wire::uri::TargetRef;
+    /// assert_eq!(TargetRef::classify(b"http://h.com:80/x").authority(), Some(&b"h.com:80"[..]));
+    /// assert_eq!(TargetRef::classify(b"/x").authority(), None);
+    /// ```
+    pub fn classify(raw: &'a [u8]) -> TargetRef<'a> {
+        if raw == b"*" {
+            return TargetRef::Asterisk;
+        }
+        if raw.first() == Some(&b'/') {
+            return match raw.iter().position(|&b| b == b'?') {
+                Some(i) => TargetRef::Origin { path: &raw[..i], query: Some(&raw[i + 1..]) },
+                None => TargetRef::Origin { path: raw, query: None },
+            };
+        }
+        if let Some(colon) = raw.iter().position(|&b| b == b':') {
+            let scheme = &raw[..colon];
+            if is_scheme(scheme) && raw[colon + 1..].starts_with(b"//") {
+                let after = &raw[colon + 3..];
+                let end = after
+                    .iter()
+                    .position(|&b| b == b'/' || b == b'?' || b == b'#')
+                    .unwrap_or(after.len());
+                return TargetRef::Absolute {
+                    scheme,
+                    authority: &after[..end],
+                    rest: &after[end..],
+                };
+            }
+            // authority-form with a port, e.g. `example.com:443`.
+            if !scheme.is_empty()
+                && raw[colon + 1..].iter().all(u8::is_ascii_digit)
+                && !raw[colon + 1..].is_empty()
+                && looks_like_host(scheme)
+            {
+                return TargetRef::Authority(raw);
+            }
+        }
+        if looks_like_host(raw) && !raw.is_empty() {
+            return TargetRef::Authority(raw);
+        }
+        TargetRef::Invalid(raw)
+    }
+
+    /// The authority bytes carried by this target, if any.
+    pub fn authority(&self) -> Option<&'a [u8]> {
+        match *self {
+            TargetRef::Absolute { authority, .. } => Some(authority),
+            TargetRef::Authority(a) => Some(a),
             _ => None,
         }
     }
 
-    /// Whether this is absolute-form with an `http`/`https` scheme — the
-    /// case proxies are required to rewrite when forwarding.
+    /// Whether this is absolute-form with an `http`/`https` scheme.
     pub fn is_http_absolute(&self) -> bool {
-        matches!(self.scheme(), Some(s) if ascii::eq_ignore_case(s, b"http") || ascii::eq_ignore_case(s, b"https"))
+        matches!(*self, TargetRef::Absolute { scheme, .. } if ascii::eq_ignore_case(scheme, b"http") || ascii::eq_ignore_case(scheme, b"https"))
     }
 
-    /// Rewrites an absolute-form target to its origin-form (`rest`, or `/`
-    /// when empty) — the canonical proxy forwarding transformation.
-    pub fn to_origin_form(&self) -> Option<Vec<u8>> {
-        match self {
-            RequestTarget::Absolute { rest, .. } => {
-                Some(if rest.is_empty() { b"/".to_vec() } else { rest.clone() })
-            }
+    /// The origin-form an absolute-form target rewrites to (`rest`, or
+    /// `/` when empty).
+    pub fn to_origin_form(&self) -> Option<&'a [u8]> {
+        match *self {
+            TargetRef::Absolute { rest, .. } => Some(if rest.is_empty() { b"/" } else { rest }),
             _ => None,
         }
     }
@@ -152,12 +204,22 @@ impl Authority {
     /// RFC 3986-conformant split: userinfo is everything before the *last*
     /// `@`; port is digits after the last `:` outside an IPv6 literal.
     pub fn parse(raw: &[u8]) -> Authority {
-        let (userinfo, hostport) = match raw.iter().rposition(|&b| b == b'@') {
-            Some(i) => (Some(raw[..i].to_vec()), &raw[i + 1..]),
-            None => (None, raw),
-        };
+        let (userinfo, hostport) = split_userinfo(raw);
         let (host, port) = split_port(hostport);
-        Authority { userinfo, host: host.to_vec(), port: port.map(<[u8]>::to_vec) }
+        Authority {
+            userinfo: userinfo.map(<[u8]>::to_vec),
+            host: host.to_vec(),
+            port: port.map(<[u8]>::to_vec),
+        }
+    }
+
+    /// The host component [`Authority::parse`] would extract, borrowed.
+    ///
+    /// ```
+    /// assert_eq!(hdiff_wire::Authority::host_of(b"u@H.com:8080"), b"H.com");
+    /// ```
+    pub fn host_of(raw: &[u8]) -> &[u8] {
+        split_port(split_userinfo(raw).1).0
     }
 
     /// The effective host an RFC-conformant implementation derives.
@@ -176,6 +238,13 @@ impl fmt::Display for Authority {
             write!(f, ":{}", ascii::escape_bytes(p))?;
         }
         Ok(())
+    }
+}
+
+fn split_userinfo(raw: &[u8]) -> (Option<&[u8]>, &[u8]) {
+    match raw.iter().rposition(|&b| b == b'@') {
+        Some(i) => (Some(&raw[..i]), &raw[i + 1..]),
+        None => (None, raw),
     }
 }
 
@@ -310,7 +379,9 @@ impl std::error::Error for HostError {}
 /// assert_eq!(interpret_host(b"h1.com@h2.com", &rfc).unwrap(), b"h2.com");
 /// ```
 pub fn interpret_host(raw: &[u8], opts: &HostParseOptions) -> Result<Vec<u8>, HostError> {
-    let mut value = ascii::trim_ows(raw).to_vec();
+    // Every policy step narrows the value to a sub-slice, so the only
+    // copy is the lowercased result.
+    let mut value = ascii::trim_ows(raw);
     if value.is_empty() {
         return if opts.allow_empty {
             Ok(Vec::new())
@@ -324,15 +395,15 @@ pub fn interpret_host(raw: &[u8], opts: &HostParseOptions) -> Result<Vec<u8>, Ho
             CommaPolicy::Reject => return Err(HostError { reason: "comma in host value" }),
             CommaPolicy::TakeFirst => {
                 let i = value.iter().position(|&b| b == b',').expect("checked");
-                value.truncate(i);
+                value = &value[..i];
             }
             CommaPolicy::TakeLast => {
                 let i = value.iter().rposition(|&b| b == b',').expect("checked");
-                value = value[i + 1..].to_vec();
+                value = &value[i + 1..];
             }
             CommaPolicy::Whole => {}
         }
-        value = ascii::trim_ows(&value).to_vec();
+        value = ascii::trim_ows(value);
     }
 
     if value.contains(&b'@') {
@@ -340,11 +411,11 @@ pub fn interpret_host(raw: &[u8], opts: &HostParseOptions) -> Result<Vec<u8>, Ho
             AtSignPolicy::Reject => return Err(HostError { reason: "at sign in host value" }),
             AtSignPolicy::UseAfter => {
                 let i = value.iter().rposition(|&b| b == b'@').expect("checked");
-                value = value[i + 1..].to_vec();
+                value = &value[i + 1..];
             }
             AtSignPolicy::UseBefore => {
                 let i = value.iter().position(|&b| b == b'@').expect("checked");
-                value.truncate(i);
+                value = &value[..i];
             }
             AtSignPolicy::Whole => {}
         }
@@ -355,7 +426,7 @@ pub fn interpret_host(raw: &[u8], opts: &HostParseOptions) -> Result<Vec<u8>, Ho
             SlashPolicy::Reject => return Err(HostError { reason: "slash in host value" }),
             SlashPolicy::Truncate => {
                 let i = value.iter().position(|&b| b == b'/').expect("checked");
-                value.truncate(i);
+                value = &value[..i];
             }
             SlashPolicy::Whole => {}
         }
@@ -363,10 +434,8 @@ pub fn interpret_host(raw: &[u8], opts: &HostParseOptions) -> Result<Vec<u8>, Ho
 
     // Strip the port for identity comparison. Userinfo handling already
     // happened above per policy, so only the port is split here.
-    let (host, _port) = split_port(&value);
-    let mut host = host.to_vec();
-    host.make_ascii_lowercase();
-    Ok(host)
+    let (host, _port) = split_port(value);
+    Ok(host.to_ascii_lowercase())
 }
 
 /// Whether `s` is a strictly valid RFC 3986 `uri-host` (reg-name, IPv4, or
@@ -435,10 +504,12 @@ mod tests {
     #[test]
     fn classify_non_http_scheme_absolute() {
         // Table II: `test://h2.com/?a=1` — the Varnish HoT vector.
-        let t = RequestTarget::classify(b"test://h2.com/?a=1");
-        assert_eq!(t.scheme(), Some(&b"test"[..]));
+        let t = TargetRef::classify(b"test://h2.com/?a=1");
+        assert!(matches!(t, TargetRef::Absolute { scheme: b"test", .. }), "{t:?}");
         assert!(!t.is_http_absolute());
         assert_eq!(t.authority(), Some(&b"h2.com"[..]));
+        let owned = RequestTarget::classify(b"test://h2.com/?a=1");
+        assert_eq!(owned.authority(), Some(&b"h2.com"[..]));
     }
 
     #[test]
@@ -456,10 +527,12 @@ mod tests {
 
     #[test]
     fn to_origin_form_rewrite() {
-        let t = RequestTarget::classify(b"http://h.com/a/b?c=1");
+        let t = TargetRef::classify(b"http://h.com/a/b?c=1");
+        assert!(t.is_http_absolute());
         assert_eq!(t.to_origin_form().unwrap(), b"/a/b?c=1");
-        let bare = RequestTarget::classify(b"http://h.com");
+        let bare = TargetRef::classify(b"http://h.com");
         assert_eq!(bare.to_origin_form().unwrap(), b"/");
+        assert_eq!(TargetRef::classify(b"/a").to_origin_form(), None);
     }
 
     #[test]

@@ -26,11 +26,41 @@
 //! hdiff worker ...           internal: one shard of a fleet campaign
 //! ```
 
+use std::io::{self, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
 use hdiff::report;
 use hdiff::{HDiff, HdiffConfig};
+
+/// The exit status after stdout's reader went away: the one a shell
+/// reports for a process ended by SIGPIPE (128 + 13).
+const EXIT_BROKEN_PIPE: i32 = 141;
+
+/// Writes to stdout. A reader that closed the pipe early (`hdiff run |
+/// head -1`) already has what it wanted, so a broken pipe ends the
+/// process quietly instead of with a panic. It never ends it with
+/// success: a command whose verdict is its exit status (`replay`,
+/// `--min-classes`) has not reached that verdict yet.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = io::stdout().lock().write_fmt(args) {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            std::process::exit(EXIT_BROKEN_PIPE);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => { write_stdout(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    () => { write_stdout(format_args!("\n")) };
+    ($($arg:tt)*) => { write_stdout(format_args!("{}\n", format_args!($($arg)*))) };
+}
 
 /// Reads the value of a `--flag N` pair, reporting parse failures.
 fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
@@ -177,36 +207,36 @@ fn main() -> ExitCode {
         "run" if config.protocol != "http" => run_protocol_cli(&args, &config),
         "run" => {
             let r = run_pipeline(config, &sinks);
-            println!("{}", report::render_stats(&r));
-            println!("{}", report::render_table1(&r.summary));
-            println!("{}", report::render_figure7(&r.summary));
-            println!("{}", report::render_resilience(&r.summary));
+            outln!("{}", report::render_stats(&r));
+            outln!("{}", report::render_table1(&r.summary));
+            outln!("{}", report::render_figure7(&r.summary));
+            outln!("{}", report::render_resilience(&r.summary));
             ExitCode::SUCCESS
         }
         "stats" => {
             let r = run_pipeline(config, &sinks);
-            println!("{}", report::render_stats(&r));
+            outln!("{}", report::render_stats(&r));
             ExitCode::SUCCESS
         }
         "table1" => {
             let r = run_pipeline(config, &sinks);
-            println!("{}", report::render_table1(&r.summary));
-            println!("{}", report::render_sr_violations(&r.summary));
+            outln!("{}", report::render_table1(&r.summary));
+            outln!("{}", report::render_sr_violations(&r.summary));
             ExitCode::SUCCESS
         }
         "table2" => {
             let r = run_pipeline(config, &sinks);
-            println!("{}", report::render_table2(&r.summary));
+            outln!("{}", report::render_table2(&r.summary));
             ExitCode::SUCCESS
         }
         "figure7" => {
             let r = run_pipeline(config, &sinks);
-            println!("{}", report::render_figure7(&r.summary));
+            outln!("{}", report::render_figure7(&r.summary));
             ExitCode::SUCCESS
         }
         "exploits" => {
             let r = run_pipeline(config, &sinks);
-            println!("{}", report::render_exploits(&r, 20));
+            outln!("{}", report::render_exploits(&r, 20));
             ExitCode::SUCCESS
         }
         "report" => {
@@ -216,7 +246,7 @@ fn main() -> ExitCode {
             };
             match hdiff::diff::load_report(Path::new(path)) {
                 Ok(input) => {
-                    println!("{}", hdiff::obs::render_report(&input));
+                    outln!("{}", hdiff::obs::render_report(&input));
                     ExitCode::SUCCESS
                 }
                 Err(e) => {
@@ -228,10 +258,10 @@ fn main() -> ExitCode {
         "findings" => {
             let r = run_pipeline(config, &sinks);
             if args.iter().any(|a| a == "--csv") {
-                print!("{}", report::render_findings_csv(&r.summary));
+                out!("{}", report::render_findings_csv(&r.summary));
             } else {
                 for f in &r.summary.findings {
-                    println!("{f}");
+                    outln!("{f}");
                 }
             }
             ExitCode::SUCCESS
@@ -366,7 +396,7 @@ fn run_pipeline(config: HdiffConfig, sinks: &TelemetrySinks) -> hdiff::PipelineR
 }
 
 fn print_help() {
-    println!(
+    outln!(
         "hdiff — semantic gap attack discovery (DSN 2022 reproduction)\n\n\
          options (any command):\n\
          \x20 --quick          small corpus for fast runs\n\
@@ -483,18 +513,18 @@ fn replay(path: &Path, transport: Option<hdiff::diff::Transport>) -> ExitCode {
     }
     let mut failed = 0usize;
     for (p, report) in &reports {
-        println!("{}  [{}]", report.summary(), p.display());
+        outln!("{}  [{}]", report.summary(), p.display());
         if !report.passed() {
             failed += 1;
             for f in &report.missing {
-                println!("  missing    : {f}");
+                outln!("  missing    : {f}");
             }
             for f in &report.unexpected {
-                println!("  unexpected : {f}");
+                outln!("  unexpected : {f}");
             }
         }
     }
-    println!("{} bundle(s), {} failed", reports.len(), failed);
+    outln!("{} bundle(s), {} failed", reports.len(), failed);
     if failed == 0 {
         ExitCode::SUCCESS
     } else {
@@ -553,8 +583,8 @@ fn run_fuzz_cli(args: &[String], transport: Option<hdiff::diff::Transport>) -> E
     };
     let engine = FuzzEngine::standard(opts);
     let r = engine.run();
-    println!("{}", r.render());
-    println!(
+    outln!("{}", r.render());
+    outln!(
         "{}",
         hdiff::obs::render_report(&hdiff::obs::ReportInput {
             title: format!("fuzz session (seed {})", engine.options().seed),
@@ -614,18 +644,18 @@ fn run_downgrade_cli(args: &[String], config: &HdiffConfig) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!(
+    outln!(
         "== downgrade campaign (h2 front ends, {} transport) ==",
         if tcp { "tcp" } else { "sim" }
     );
-    println!("cases    : {}", summary.cases);
-    println!("findings : {}", summary.findings.len());
+    outln!("cases    : {}", summary.cases);
+    outln!("findings : {}", summary.findings.len());
     for f in &summary.findings {
-        println!("  {f}");
+        outln!("  {f}");
     }
-    println!("classes  : {} ({})", summary.classes.len(), summary.classes.join(", "));
+    outln!("classes  : {} ({})", summary.classes.len(), summary.classes.join(", "));
     for p in &summary.promoted {
-        println!("promoted : {}", p.display());
+        outln!("promoted : {}", p.display());
     }
     if summary.classes.len() < min_classes {
         eprintln!(
@@ -686,15 +716,15 @@ fn run_protocol_cli(args: &[String], config: &HdiffConfig) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!("== {} campaign (generic protocol driver, sim transport) ==", summary.protocol);
-    println!("cases    : {}", summary.cases);
-    println!("findings : {}", summary.findings.len());
+    outln!("== {} campaign (generic protocol driver, sim transport) ==", summary.protocol);
+    outln!("cases    : {}", summary.cases);
+    outln!("findings : {}", summary.findings.len());
     for f in &summary.findings {
-        println!("  {f}");
+        outln!("  {f}");
     }
-    println!("classes  : {} ({})", summary.classes.len(), summary.classes.join(", "));
+    outln!("classes  : {} ({})", summary.classes.len(), summary.classes.join(", "));
     for p in &summary.promoted {
-        println!("promoted : {}", p.display());
+        outln!("promoted : {}", p.display());
     }
     if summary.classes.len() < min_classes {
         eprintln!(
@@ -716,9 +746,9 @@ fn golden_regen(dir: &Path) -> ExitCode {
     match regen_golden(dir, &workflow, &profiles) {
         Ok(paths) => {
             for p in &paths {
-                println!("wrote {}", p.display());
+                outln!("wrote {}", p.display());
             }
-            println!("{} bundle(s) regenerated", paths.len());
+            outln!("{} bundle(s) regenerated", paths.len());
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -734,9 +764,9 @@ fn golden_regen_h2(dir: &Path) -> ExitCode {
     match hdiff::diff::regen_h2_golden(dir) {
         Ok(paths) => {
             for p in &paths {
-                println!("wrote {}", p.display());
+                outln!("wrote {}", p.display());
             }
-            println!("{} bundle(s) regenerated", paths.len());
+            outln!("{} bundle(s) regenerated", paths.len());
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -868,8 +898,8 @@ fn probe_live(target: &str) -> ExitCode {
         }
     }
 
-    println!("probing {target}: full catalog sweep, {PROBE_REPS} reps/vector over one keep-alive connection\n");
-    println!("{:<26} {:<6} {:>9} {:>9} {:<8} verdict", "vector", "reps", "p50", "p99", "status");
+    outln!("probing {target}: full catalog sweep, {PROBE_REPS} reps/vector over one keep-alive connection\n");
+    outln!("{:<26} {:<6} {:>9} {:>9} {:<8} verdict", "vector", "reps", "p50", "p99", "status");
     let mut divergences = 0usize;
     let mut answered = 0usize;
     let mut silent = 0usize;
@@ -917,7 +947,7 @@ fn probe_live(target: &str) -> ExitCode {
                     "no framed response".to_string()
                 }
             };
-            println!(
+            outln!(
                 "{:<26} {:<6} {:>9} {:>9} {:<8} {}",
                 label,
                 rtts_ns.len(),
@@ -929,7 +959,7 @@ fn probe_live(target: &str) -> ExitCode {
         }
     }
     let stats = pool.stats();
-    println!(
+    outln!(
         "\n{} vectors answered, {} silent, {} divergent; pool: {} reuse hits, {} connects, {} evictions",
         answered, silent, divergences, stats.hits, stats.misses, stats.evictions
     );
@@ -968,8 +998,8 @@ fn probe_live_h2(target: &str) -> ExitCode {
     };
     let fronts = hdiff::servers::fronts();
     let vectors = hdiff::diff::seed_vectors();
-    println!("probing {target}: {} h2 downgrade vectors (h2c prior knowledge)\n", vectors.len());
-    println!("{:<24} {:<10} verdict", "vector", "statuses");
+    outln!("probing {target}: {} h2 downgrade vectors (h2c prior knowledge)\n", vectors.len());
+    outln!("{:<24} {:<10} verdict", "vector", "statuses");
     let mut answered = 0usize;
     let mut silent = 0usize;
     let mut divergent = 0usize;
@@ -998,7 +1028,7 @@ fn probe_live_h2(target: &str) -> ExitCode {
             }
             _ => {
                 silent += 1;
-                println!("{:<24} {:<10} no h2 response frames", vector.id, "-");
+                outln!("{:<24} {:<10} no h2 response frames", vector.id, "-");
                 continue;
             }
         };
@@ -1027,12 +1057,12 @@ fn probe_live_h2(target: &str) -> ExitCode {
         let statuses = live.iter().map(u16::to_string).collect::<Vec<_>>().join(",");
         if matches.is_empty() {
             divergent += 1;
-            println!("{:<24} {:<10} DIVERGES (matches no modeled front)", vector.id, statuses);
+            outln!("{:<24} {:<10} DIVERGES (matches no modeled front)", vector.id, statuses);
         } else {
-            println!("{:<24} {:<10} matches {}", vector.id, statuses, matches.join("/"));
+            outln!("{:<24} {:<10} matches {}", vector.id, statuses, matches.join("/"));
         }
     }
-    println!("\n{answered} vectors answered, {silent} silent, {divergent} divergent");
+    outln!("\n{answered} vectors answered, {silent} silent, {divergent} divergent");
     if connect_failures == vectors.len() {
         ExitCode::from(PROBE_EXIT_CONNECT)
     } else if divergent > 0 {
@@ -1061,14 +1091,14 @@ fn probe(bytes: &[u8]) {
     use hdiff::servers::{interpret, ParserProfile};
     use hdiff::wire::ascii;
 
-    println!("request ({} bytes):", bytes.len());
-    println!("  {}\n", ascii::escape_bytes(bytes));
-    println!("{:<12} {:<7} {:<22} {:<26} notes", "product", "status", "host", "framing");
+    outln!("request ({} bytes):", bytes.len());
+    outln!("  {}\n", ascii::escape_bytes(bytes));
+    outln!("{:<12} {:<7} {:<22} {:<26} notes", "product", "status", "host", "framing");
     let mut profiles = vec![ParserProfile::strict("baseline")];
     profiles.extend(hdiff::servers::products());
     for p in profiles {
         let i = interpret(&p, bytes);
-        println!(
+        outln!(
             "{:<12} {:<7} {:<22} {:<26} {}",
             p.name,
             i.outcome.status(),
