@@ -12,10 +12,12 @@
 //!
 //! # Synchronization
 //!
-//! The campaign client writes a case's bytes, half-closes (FIN), and
-//! reads to EOF; every `hdiff-net` listener pushes its connection log
-//! *before* closing its end. Client EOF therefore implies the log is
-//! complete — no sleeps, no polling.
+//! The blocking campaign client writes a case's bytes, half-closes
+//! (FIN), and reads to EOF; every `hdiff-net` listener pushes its
+//! connection log *before* closing its end. Client EOF therefore implies
+//! the log is complete — no sleeps, no polling. The tcp-async path ends
+//! each exchange inside the reactor instead (see [`hdiff_net::reactor`]),
+//! with the same log-first ordering, over pooled connections.
 //!
 //! # Fault mirroring
 //!
@@ -45,8 +47,8 @@ use std::time::Duration;
 
 use hdiff_gen::{AttackClass, TestCase};
 use hdiff_net::{
-    compare_attribution, AsyncTestbed, ExchangeOutput, JobOutput, NetEcho, NetProxy,
-    NetProxyConfig, NetServer, NetServerConfig, SendMode, ServerFault, WireClient,
+    compare_attribution, AsyncTestbed, JobOutput, NetEcho, NetProxy, NetProxyConfig, NetServer,
+    NetServerConfig, SendMode, ServerFault, WireClient,
 };
 use hdiff_servers::fault::{FaultKind, FaultSession, FaultStage};
 use hdiff_servers::{ParserProfile, ProxyResult, ServerReply, ORIGIN_HOP};
@@ -424,7 +426,9 @@ pub fn try_run_bytes_tcp_async(
     let mut direct: Vec<(String, Vec<ServerReply>)> = Vec::new();
     for (b, out) in workflow.backends().iter().zip(backend_outs) {
         let ex = out.as_exchange();
-        observe_async_exchange(ex);
+        if let Some(e) = ex {
+            e.observe();
+        }
         let raw =
             ex.and_then(|e| e.server_log.as_ref()).map(|l| l.replies.clone()).unwrap_or_default();
         let mut kept = Vec::new();
@@ -474,7 +478,9 @@ pub fn try_run_bytes_tcp_async(
         workflow.proxy_hops().iter().zip(proxy_outs).zip(proxy_logs).zip(replayed)
     {
         let proxy_profile = &proxy_sim.profile;
-        observe_async_exchange(out.as_exchange());
+        if let Some(e) = out.as_exchange() {
+            e.observe();
+        }
         let raw_results = if faults.is_some_and(FaultSession::exhausted) {
             Vec::new() // the sim's charge fails before the first message
         } else {
@@ -513,7 +519,9 @@ pub fn try_run_bytes_tcp_async(
                     Vec::new()
                 } else {
                     let ex = batched.get(i).and_then(JobOutput::as_exchange);
-                    observe_async_exchange(ex);
+                    if let Some(e) = ex {
+                        e.observe();
+                    }
                     ex.and_then(|e| e.server_log.as_ref())
                         .map(|l| l.replies.clone())
                         .unwrap_or_default()
@@ -549,28 +557,6 @@ pub fn try_run_bytes_tcp_async(
         fault_events: faults.map(|s| s.events()).unwrap_or_default(),
         budget_exhausted: faults.is_some_and(FaultSession::exhausted),
     })
-}
-
-/// Campaign telemetry for one multiplexed exchange, emitted from the
-/// case thread (the event loop itself records nothing): the RTT/timeout
-/// observations [`observed_exchange`] makes, plus the pool counters the
-/// blocking [`hdiff_net::ConnPool`] emits.
-fn observe_async_exchange(ex: Option<&ExchangeOutput>) {
-    let Some(e) = ex else { return };
-    hdiff_obs::observe("net.exchange.rtt", e.rtt_ns);
-    if e.timed_out {
-        hdiff_obs::count("net.exchange.timeout", 1);
-    }
-    if e.reused {
-        hdiff_obs::count("net.pool.hit", 1);
-    } else {
-        hdiff_obs::count("net.pool.miss", 1);
-        hdiff_obs::count("net.conn.open", 1);
-    }
-    if e.retried {
-        hdiff_obs::count("net.pool.evict", 1);
-        hdiff_obs::count("net.conn.open", 1);
-    }
 }
 
 /// Runs one case over both transports and reports any divergence as a
@@ -770,7 +756,7 @@ mod tests {
             &testbed,
         );
         assert!(findings.is_empty(), "{findings:?}");
-        // A second case over the same testbed rides the warm pool.
+        // A second case over the same testbed reuses pooled connections.
         let findings = consistency_findings_async(
             &workflow,
             &profiles,

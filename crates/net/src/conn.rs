@@ -19,11 +19,19 @@
 //!   (a failed write is fed back as [`Input::WriteError`]);
 //! * on [`Step::Hold`], hand over [`Machine::finish`] at once, then keep
 //!   reading (and discarding) until the machine says [`Step::Close`];
-//! * on [`Step::Relay`], do a write → FIN → read-to-EOF exchange with the
-//!   proxy's upstream and feed the result back, reading nothing
-//!   downstream meanwhile;
-//! * on [`Step::Close`], hand over [`Machine::finish`] *before* shutting
-//!   the socket down — a client that saw EOF then always sees the log.
+//! * on [`Step::Relay`], run one exchange with the proxy's upstream —
+//!   write the bytes, read the whole reply — and feed the result back,
+//!   reading nothing downstream meanwhile;
+//! * on [`Step::Close`], hand over [`Machine::finish`] *before* ending
+//!   the exchange, so a client whose exchange ended always sees the log.
+//!
+//! The two transports end an exchange differently. The blocking one
+//! uses the socket: the client's FIN is the machine's [`Input::Eof`],
+//! and a close shuts the connection down. The reactor has both ends in
+//! one loop: it feeds [`Input::Eof`] once the exchange's bytes are all
+//! read, and on a close it tells the client the reply length and starts
+//! a fresh machine on the same connection. A machine cannot tell the two
+//! apart.
 
 use hdiff_servers::fault::{FaultDecision, FaultKind};
 use hdiff_servers::{
@@ -39,7 +47,8 @@ use crate::server::{ConnectionLog, NetServerConfig, ServerFault, Teardown};
 pub(crate) enum Input<'a> {
     /// Bytes read from the peer (never empty).
     Read(&'a [u8]),
-    /// The peer half-closed its side.
+    /// The exchange's bytes are all read: the peer half-closed its
+    /// side, or the reactor counted them.
     Eof,
     /// A read failed.
     ReadError,
@@ -61,7 +70,7 @@ pub(crate) enum Step {
     Relay(Vec<u8>),
     /// Hand over the log, then hold the connection open without replying.
     Hold,
-    /// Flush the output, hand over the log, and shut the connection down.
+    /// Flush the output, hand over the log, and end the exchange.
     Close,
 }
 

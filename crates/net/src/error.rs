@@ -23,6 +23,9 @@ pub enum NetErrorKind {
     Spawn,
     /// Reading or writing an established stream.
     Io,
+    /// Submitting a reactor exchange to an address that is not one of
+    /// that reactor's listeners.
+    NotHosted,
 }
 
 impl NetErrorKind {
@@ -34,6 +37,7 @@ impl NetErrorKind {
             NetErrorKind::Connect => "connect",
             NetErrorKind::Spawn => "spawn",
             NetErrorKind::Io => "io",
+            NetErrorKind::NotHosted => "not-hosted",
         }
     }
 }
@@ -72,6 +76,14 @@ impl NetError {
     /// Wraps any other I/O error on an established stream.
     pub fn io(e: io::Error) -> NetError {
         NetError { kind: NetErrorKind::Io, detail: e.to_string() }
+    }
+
+    /// An exchange addressed to `addr`, which the reactor does not host.
+    pub fn not_hosted(addr: std::net::SocketAddr) -> NetError {
+        NetError {
+            kind: NetErrorKind::NotHosted,
+            detail: format!("{addr} is not a listener of this reactor"),
+        }
     }
 }
 

@@ -23,7 +23,8 @@
 //!   machine.
 //! * [`reactor`] — the epoll driver: one event loop per
 //!   [`testbed::AsyncTestbed`] hosting every listener, its connections
-//!   and the client side of every exchange.
+//!   and the client side of every exchange, over pooled keep-alive
+//!   connections.
 //! * [`h2front`] — [`h2front::H2FrontServer`]: an HTTP/2 (h2c, prior
 //!   knowledge) downgrade front end: parses whole client connections,
 //!   translates them through a [`hdiff_servers::DowngradeProfile`], and
@@ -38,12 +39,17 @@
 //!
 //! # Synchronization model
 //!
-//! The campaign drivers write the entire request stream, then
-//! `shutdown(Write)` (FIN), then read to EOF. Both drivers hand over a
-//! machine's connection log *before* closing the stream, so a client that
-//! observed EOF is guaranteed to observe the complete log — no sleeps, no
-//! polling. Incremental parsing only finalizes a message early when the
-//! parse cannot change with more bytes (see
+//! The campaign clients write the entire request stream and read the
+//! whole reply. The blocking transport ends the exchange with a socket
+//! FIN (`shutdown(Write)`, then read to EOF). The reactor ends it inside
+//! its event loop, where both ends live: the served connection's machine
+//! gets its EOF once it has read the exchange's bytes, and the client
+//! completes once it holds the reply length the served end reports,
+//! keeping the connection for the next exchange. Both transports hand
+//! over a machine's connection log *before* ending the exchange, so a
+//! client whose exchange ended is guaranteed to observe the complete
+//! log — no sleeps, no polling. Incremental parsing only finalizes a
+//! message early when the parse cannot change with more bytes (see
 //! `conn::incomplete_reason`), which keeps the wire outcome equal to
 //! the in-process [`hdiff_servers::Server::handle_stream`] outcome for
 //! identical byte streams.

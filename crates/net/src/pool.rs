@@ -1,6 +1,6 @@
 //! A blocking keep-alive connection pool.
 //!
-//! The async reactor keeps its own warm pool inside the event loop; this
+//! The async reactor keeps its own pool inside the event loop; this
 //! type is the *blocking* counterpart for callers that drive framed
 //! request/response traffic from their own thread — `hdiff probe`'s
 //! catalog sweep reuses one pooled connection across every vector
@@ -15,7 +15,7 @@
 //! * A reused connection the server closed in the meantime (write error
 //!   or EOF before a complete response, with no partial bytes) is
 //!   **evicted** and the request retried exactly once on a fresh
-//!   connection — the same stale-connection rule the reactor's warm pool
+//!   connection — the same stale-connection rule the reactor's pool
 //!   applies.
 //! * Counters are both kept on the pool ([`PoolStats`]) and emitted as
 //!   `net.pool.hit` / `net.pool.miss` / `net.pool.evict` observations,

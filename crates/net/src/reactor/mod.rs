@@ -17,20 +17,37 @@
 //!   a stale event. Handlers read/write until `WouldBlock`.
 //! * **Deadline wheel, not per-socket timeouts.** Sockets are
 //!   nonblocking; the per-read 500 ms budget of the blocking layer
-//!   becomes a [`super::reactor::wheel::Wheel`] entry re-armed on every
-//!   read with progress. Cancellation is a sequence-number bump.
-//! * **Log-before-EOF ordering for free.** The blocking layer's
-//!   synchronization contract (a server pushes its connection log before
-//!   closing, a client that saw EOF sees the complete log) holds here
-//!   because server finalize and client EOF run on the same loop thread:
-//!   the close that produces the client's EOF readiness happens strictly
-//!   after the log was delivered.
-//! * **Warm connection pool.** `warm()` pre-opens idle connections per
-//!   listener address; an exchange submitted with `warm: true` claims
-//!   one (pool hit) instead of connecting (miss). A server-side close of
-//!   an idle connection is detected by its read readiness and counted as
-//!   an eviction; a claimed-but-stale connection (empty response, no
-//!   server log) is retried once on a fresh connection.
+//!   becomes a deadline restarted on every read with progress, kept in
+//!   a [`super::reactor::wheel::Wheel`]. A connection holds at most one
+//!   wheel entry: restarting or cancelling only moves the deadline, and
+//!   an entry that comes up before it re-files itself.
+//! * **End of exchange delivered by the loop, not by a FIN.** Both ends
+//!   of every exchange live in this loop: an exchange's address must be
+//!   one of its listeners (else the exchange fails with
+//!   [`NetErrorKind::NotHosted`](crate::NetErrorKind::NotHosted)), and an
+//!   accepted connection is linked to the client slot that connected
+//!   it. The client writes its N bytes and sends no FIN; the served
+//!   connection feeds its machine `Input::Eof` once it has read exactly
+//!   those N bytes. When the machine then closes, the loop hands over
+//!   the log, flushes the reply, tells the client the reply length M and
+//!   swaps in a fresh machine; the client completes once it holds M
+//!   bytes. A machine cannot tell this EOF from a FIN, so the logs equal
+//!   the blocking transport's. Every other end — a deadline, an I/O
+//!   error, a peer FIN, `Step::Hold`, or a machine that closes before
+//!   reading its N bytes — shuts the socket down as a blocking server
+//!   would.
+//! * **Log before completion.** A served connection delivers its log
+//!   before it ends the exchange (loop-delivered end) or shuts the
+//!   socket (any other end), and the client completes only after that,
+//!   on the same loop thread — so a completed exchange always carries
+//!   its complete log.
+//! * **Keep-alive pool.** Every exchange, relays included, claims an
+//!   idle connection to its address or connects, and a loop-ended
+//!   exchange returns its connection to the pool, so a case reuses
+//!   connections instead of opening them. `warm()` pre-opens the first
+//!   ones. A pooled connection the server closed (its read deadline)
+//!   is evicted on its read readiness; one claimed as it closed (empty
+//!   response, no log) is retried once on a fresh connection.
 //! * **Blocking `connect`, bounded burst.** Loopback connects complete
 //!   in microseconds *when the listener backlog has room*, so the loop
 //!   issues at most [`CONNECT_BURST`] connects per iteration and drains
@@ -91,7 +108,8 @@ pub struct AsyncListener {
 /// One unit of client work submitted to the loop.
 #[derive(Debug, Clone)]
 pub enum Job {
-    /// Campaign-style exchange: write, FIN, read to EOF.
+    /// Campaign-style exchange: write the stream, read the whole reply
+    /// (the loop ends the exchange; see the module docs).
     Exchange(ExchangeSpec),
     /// Bench-style drive: N framed keep-alive requests on one connection.
     Drive(DriveSpec),
@@ -100,7 +118,7 @@ pub enum Job {
 /// Parameters of one campaign exchange.
 #[derive(Debug, Clone)]
 pub struct ExchangeSpec {
-    /// Target address.
+    /// Target address: a listener hosted by the same reactor.
     pub addr: SocketAddr,
     /// Request stream bytes.
     pub bytes: Vec<u8>,
@@ -111,8 +129,6 @@ pub struct ExchangeSpec {
     pub read_timeout: Duration,
     /// Listener whose connection log this exchange collects, if any.
     pub pair: Option<ListenerId>,
-    /// Claim a pre-warmed pool connection when one is available.
-    pub warm: bool,
 }
 
 /// Parameters of one throughput drive.
@@ -133,7 +149,8 @@ pub struct DriveSpec {
 /// Result of one [`Job::Exchange`].
 #[derive(Debug, Clone, Default)]
 pub struct ExchangeOutput {
-    /// Raw response bytes read before EOF (or the deadline).
+    /// Raw response bytes: the whole reply, or what arrived before the
+    /// connection closed or the deadline.
     pub response: Vec<u8>,
     /// Whether the read ended on the deadline rather than EOF.
     pub timed_out: bool,
@@ -145,11 +162,41 @@ pub struct ExchangeOutput {
     pub proxy_log: Option<ProxyConnLog>,
     /// Wall time from job assignment to completion.
     pub rtt_ns: u64,
-    /// Whether a warm pooled connection was claimed.
+    /// Whether the connection the exchange claimed first had carried an
+    /// earlier exchange (pool hit); otherwise this was its first use,
+    /// one real connect (miss).
     pub reused: bool,
     /// Whether the exchange re-ran on a fresh connection after a stale
     /// pooled one.
     pub retried: bool,
+}
+
+impl ExchangeOutput {
+    /// Records the exchange's campaign telemetry on the calling thread
+    /// (the event loop itself records nothing): its RTT and timeout, and
+    /// the counters [`crate::ConnPool`] keeps. The claimed connection is
+    /// a `net.pool.hit` when it carried an earlier exchange, else a
+    /// `net.pool.miss` and a `net.conn.open`; a stale retry adds a
+    /// `net.pool.evict` plus the fresh connection's miss and open. So
+    /// `net.conn.open` counts the connects the exchanges' connections
+    /// cost (relays excluded), and hits + misses = exchanges + evictions.
+    pub fn observe(&self) {
+        hdiff_obs::observe("net.exchange.rtt", self.rtt_ns);
+        if self.timed_out {
+            hdiff_obs::count("net.exchange.timeout", 1);
+        }
+        let first_claim = if self.reused { "net.pool.hit" } else { "net.pool.miss" };
+        hdiff_obs::count(first_claim, 1);
+        let mut opens = u64::from(!self.reused);
+        if self.retried {
+            hdiff_obs::count("net.pool.evict", 1);
+            hdiff_obs::count("net.pool.miss", 1);
+            opens += 1;
+        }
+        if opens > 0 {
+            hdiff_obs::count("net.conn.open", opens);
+        }
+    }
 }
 
 /// Result of one [`Job::Drive`].
@@ -201,18 +248,19 @@ pub struct ReactorStats {
     pub wakeups: u64,
     /// Readiness events delivered.
     pub events: u64,
-    /// Connections the loop opened or accepted.
+    /// Connections the loop opened or accepted: a loopback exchange
+    /// connection counts twice, once per end.
     pub conns_opened: u64,
     /// Connections the loop closed.
     pub conns_closed: u64,
-    /// Warm-pool connections opened beyond each address's first fill —
-    /// the keep-alive churn signal.
-    pub conn_churn: u64,
-    /// Exchanges that claimed a warm pooled connection.
+    /// Connection claims, relays included, of a connection that carried
+    /// an earlier exchange.
     pub pool_hits: u64,
-    /// Warm-requested exchanges that found the pool empty.
+    /// Connection claims that were a connection's first use: each one a
+    /// real connect (a warm fill's or the exchange's own).
     pub pool_misses: u64,
-    /// Idle pooled connections discarded after a server-side close.
+    /// Pooled connections discarded after a server-side close: idle
+    /// ones on their read readiness, stale ones at their claim.
     pub pool_evictions: u64,
     /// Deadline-wheel entries that fired against a live connection.
     pub deadline_fires: u64,
@@ -250,14 +298,6 @@ enum Cmd {
         jobs: Vec<Job>,
         done: Sender<Vec<JobOutput>>,
     },
-    TakeServerLogs {
-        id: ListenerId,
-        ack: Sender<Vec<ConnectionLog>>,
-    },
-    TakeProxyLogs {
-        id: ListenerId,
-        ack: Sender<Vec<ProxyConnLog>>,
-    },
     Stats {
         ack: Sender<ReactorStats>,
     },
@@ -277,15 +317,16 @@ struct Listener<M: Machine> {
     read_timeout: Duration,
     /// Where relays go (proxy listeners only).
     upstream: Option<SocketAddr>,
-    /// Logs no paired exchange claimed.
-    logs: Vec<ConnLog>,
 }
 
 /// An accepted connection: its stream, its machine, the machine's last
-/// step, an output cursor and a wheel sequence number.
+/// step, an output cursor, its read deadline, and where the current
+/// exchange stands.
 struct Served<M: Machine> {
     stream: TcpStream,
     machine: M,
+    /// The listener's fresh machine, swapped in for each exchange.
+    fresh: M,
     host: Rc<M::Host>,
     /// The listener's slab index; with `peer`, the pairing-ticket key.
     owner: usize,
@@ -295,10 +336,22 @@ struct Served<M: Machine> {
     /// `Step::Relay` with no bytes left means the relay is in flight.
     step: Step,
     out_pos: usize,
-    seq: u64,
+    deadline: Deadline,
+    /// The loop's client slot (index, generation) that connected this
+    /// one; `None` for a peer the loop did not open.
+    client: Option<(usize, u32)>,
+    /// Bytes of the current exchange read so far.
+    got: usize,
+    /// Bytes of the current exchange's reply flushed so far.
+    sent: usize,
+    /// Whether the loop already fed this exchange's end as EOF.
+    eof_fed: bool,
+    /// Whether the connection ends with a real close: it held, hit a
+    /// deadline or an I/O error, or the peer closed.
+    closing: bool,
 }
 
-/// A finished connection log, as the loop pairs or keeps it.
+/// A finished connection log, as the loop pairs it.
 enum ConnLog {
     Server(ConnectionLog),
     Proxy(ProxyConnLog),
@@ -309,7 +362,7 @@ enum ConnLog {
 trait Role: Machine + Clone + Sized {
     fn listening(l: Box<Listener<Self>>) -> Entry;
     fn served(c: Box<Served<Self>>) -> Entry;
-    /// The log as the loop keeps it; `None` drops it.
+    /// The log as the loop pairs it; `None` drops it.
     fn keep(log: Self::Log) -> Option<ConnLog>;
 }
 
@@ -360,12 +413,17 @@ enum Sink {
 
 struct ExchangeState {
     sink: Sink,
+    /// The exchange's N bytes, kept whole: the served end reads its
+    /// length.
     out: Vec<u8>,
     out_pos: usize,
-    fin_sent: bool,
     resp: Vec<u8>,
+    /// The reply length M, once the served end ended the exchange.
+    reply_len: Option<usize>,
     read_timeout: Duration,
     started: Instant,
+    /// Claimed from the idle pool (and so possibly stale).
+    pooled: bool,
     reused: bool,
     retried: bool,
     pair: Option<usize>,
@@ -391,18 +449,22 @@ struct DriveState {
 }
 
 enum ClientKind {
-    /// Warm pool member, waiting for an exchange to claim it.
-    Idle {
-        addr: SocketAddr,
-    },
+    /// Pool member, waiting for an exchange to claim it.
+    Idle,
     Exchange(Box<ExchangeState>),
     Drive(Box<DriveState>),
 }
 
 struct ClientConn {
     stream: TcpStream,
+    /// Local address: with the listener, the pairing-ticket key.
+    local: SocketAddr,
+    /// The address it connected to (its pool).
+    addr: SocketAddr,
     kind: ClientKind,
-    seq: u64,
+    deadline: Deadline,
+    /// Whether an exchange already ended on this connection.
+    used: bool,
 }
 
 enum Entry {
@@ -428,9 +490,21 @@ struct BatchState {
 }
 
 enum ConnectIntent {
-    Exchange { sink: Sink, spec: ExchangeSpec, retried: bool },
-    Drive { batch: usize, job: usize, spec: DriveSpec },
-    Idle { addr: SocketAddr },
+    /// `reused` carries the stale claim's hit/miss through a retry.
+    Exchange {
+        sink: Sink,
+        spec: ExchangeSpec,
+        reused: bool,
+        retried: bool,
+    },
+    Drive {
+        batch: usize,
+        job: usize,
+        spec: DriveSpec,
+    },
+    Idle {
+        addr: SocketAddr,
+    },
 }
 
 enum Wake {
@@ -499,24 +573,81 @@ fn mode_bytes(bytes: &[u8], mode: &SendMode) -> Vec<u8> {
     }
 }
 
+/// A connection's read deadline. The wheel holds at most one entry per
+/// connection: a restart only moves `at` (unless it is earlier than the
+/// entry), so a busy connection costs one entry per read timeout, not
+/// one per read.
+#[derive(Debug, Default)]
+struct Deadline {
+    /// When the deadline expires; `None` while it is cancelled.
+    at: Option<Instant>,
+    /// The outstanding wheel entry's sequence number and due time.
+    entry: Option<(u64, Instant)>,
+}
+
+/// The loop's deadline wheel and the sequence numbers of its entries.
+/// Like the wheel, it reads no clock: callers pass `now`.
+struct Timers {
+    wheel: Wheel,
+    next_seq: u64,
+}
+
+impl Timers {
+    /// Restarts `d`, connection `idx`'s deadline, `after` from `now`.
+    fn restart(&mut self, now: Instant, d: &mut Deadline, idx: usize, after: Duration) {
+        let at = now + after;
+        d.at = Some(at);
+        if d.entry.is_none_or(|(_, due)| at < due) {
+            self.file(d, idx, now, at);
+        }
+    }
+
+    fn file(&mut self, d: &mut Deadline, idx: usize, now: Instant, at: Instant) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.wheel.arm(now, idx, seq, at - now);
+        d.entry = Some((seq, at));
+    }
+
+    /// Whether the wheel entry `seq` coming up for `d` means the deadline
+    /// expired. A superseded entry is ignored, and one that came up
+    /// before a restarted deadline re-files itself.
+    fn expired(&mut self, now: Instant, d: &mut Deadline, idx: usize, seq: u64) -> bool {
+        if d.entry.is_none_or(|(s, _)| s != seq) {
+            return false;
+        }
+        d.entry = None;
+        match d.at {
+            Some(at) if at > now => {
+                self.file(d, idx, now, at);
+                false
+            }
+            Some(_) => {
+                d.at = None;
+                true
+            }
+            None => false,
+        }
+    }
+}
+
 struct EventLoop {
     ep: Epoll,
     wake_rx: TcpStream,
     cmds: Arc<Mutex<VecDeque<Cmd>>>,
     slab: Vec<Slot>,
     free: Vec<usize>,
-    wheel: Wheel,
-    next_seq: u64,
+    timers: Timers,
     batches: Vec<Option<BatchState>>,
     free_batches: Vec<usize>,
+    /// Hosted listeners by address, as slab indices.
+    listeners: HashMap<SocketAddr, usize>,
     tickets: HashMap<(usize, SocketAddr), (usize, usize)>,
+    /// Client slots (index, generation) their listener has not accepted
+    /// yet, by (listener slab index, client local address).
+    unaccepted: HashMap<(usize, SocketAddr), (usize, u32)>,
     /// Idle pooled connections per address, as (slab idx, generation).
-    warm: HashMap<SocketAddr, VecDeque<(usize, u32)>>,
-    /// Registered pool depth per address.
-    warm_targets: HashMap<SocketAddr, usize>,
-    /// Addresses that completed their first pool fill (for churn
-    /// accounting).
-    warm_filled: HashMap<SocketAddr, bool>,
+    idle: HashMap<SocketAddr, VecDeque<(usize, u32)>>,
     pending_connects: VecDeque<ConnectIntent>,
     agenda: VecDeque<Wake>,
     stats: ReactorStats,
@@ -530,14 +661,13 @@ impl EventLoop {
             cmds,
             slab: Vec::new(),
             free: Vec::new(),
-            wheel: Wheel::new(Instant::now()),
-            next_seq: 1,
+            timers: Timers { wheel: Wheel::new(Instant::now()), next_seq: 1 },
             batches: Vec::new(),
             free_batches: Vec::new(),
+            listeners: HashMap::new(),
             tickets: HashMap::new(),
-            warm: HashMap::new(),
-            warm_targets: HashMap::new(),
-            warm_filled: HashMap::new(),
+            unaccepted: HashMap::new(),
+            idle: HashMap::new(),
             pending_connects: VecDeque::new(),
             agenda: VecDeque::new(),
             stats: ReactorStats::default(),
@@ -570,14 +700,16 @@ impl EventLoop {
         self.free.push(idx);
     }
 
-    fn next_seq(&mut self) -> u64 {
-        let s = self.next_seq;
-        self.next_seq += 1;
-        s
-    }
-
-    fn arm(&mut self, idx: usize, seq: u64, after: Duration) {
-        self.wheel.arm(Instant::now(), idx, seq, after);
+    /// Restarts the read deadline of the connection in slot `idx`.
+    fn restart_deadline(&mut self, idx: usize, after: Duration) {
+        let d = match self.slab[idx].entry.as_mut() {
+            Some(Entry::Origin(c)) => &mut c.deadline,
+            Some(Entry::ProxyDown(c)) => &mut c.deadline,
+            Some(Entry::EchoConn(c)) => &mut c.deadline,
+            Some(Entry::Client(c)) => &mut c.deadline,
+            _ => return,
+        };
+        self.timers.restart(Instant::now(), d, idx, after);
     }
 
     fn register(&mut self, fd: std::os::fd::RawFd, idx: usize) -> std::io::Result<()> {
@@ -590,7 +722,7 @@ impl EventLoop {
         let mut events = vec![EpollEvent::default(); 1024];
         loop {
             let timeout_ms = if self.pending_connects.is_empty() && self.agenda.is_empty() {
-                self.wheel.next_timeout_ms(Instant::now(), IDLE_WAIT_MS) as i32
+                self.timers.wheel.next_timeout_ms(Instant::now(), IDLE_WAIT_MS) as i32
             } else {
                 0
             };
@@ -611,7 +743,7 @@ impl EventLoop {
             }
             let now = Instant::now();
             let mut fired = Vec::new();
-            self.wheel.advance(now, |c, s| fired.push((c, s)));
+            self.timers.wheel.advance(now, |c, s| fired.push((c, s)));
             for (c, s) in fired {
                 self.agenda.push_back(Wake::Deadline(c, s));
             }
@@ -651,28 +783,14 @@ impl EventLoop {
                 self.listen(listener, Rc::new(()), conn::Echo::new(), read_timeout, None, ack);
             }
             Cmd::Warm { addr, depth, ack } => {
-                self.warm_targets.insert(addr, depth);
-                let have = self.idle_count(addr);
-                for _ in have..depth {
-                    self.pending_connects.push_back(ConnectIntent::Idle { addr });
+                if self.listeners.contains_key(&addr) {
+                    for _ in self.idle_count(addr)..depth {
+                        self.pending_connects.push_back(ConnectIntent::Idle { addr });
+                    }
                 }
                 let _ = ack.send(());
             }
             Cmd::Submit { jobs, done } => self.handle_submit(jobs, done),
-            Cmd::TakeServerLogs { id, ack } => {
-                let logs = self.take_logs(id).into_iter().filter_map(|log| match log {
-                    ConnLog::Server(log) => Some(log),
-                    ConnLog::Proxy(_) => None,
-                });
-                let _ = ack.send(logs.collect());
-            }
-            Cmd::TakeProxyLogs { id, ack } => {
-                let logs = self.take_logs(id).into_iter().filter_map(|log| match log {
-                    ConnLog::Proxy(log) => Some(log),
-                    ConnLog::Server(_) => None,
-                });
-                let _ = ack.send(logs.collect());
-            }
             Cmd::Stats { ack } => {
                 let _ = ack.send(self.stats);
             }
@@ -691,19 +809,14 @@ impl EventLoop {
     ) {
         let _ = listener.set_nonblocking(true);
         let fd = listener.as_raw_fd();
-        let l = Listener { listener, host, fresh, read_timeout, upstream, logs: Vec::new() };
+        let addr = listener.local_addr();
+        let l = Listener { listener, host, fresh, read_timeout, upstream };
         let idx = self.insert(M::listening(Box::new(l)));
+        if let Ok(addr) = addr {
+            self.listeners.insert(addr, idx);
+        }
         let _ = self.register(fd, idx);
         let _ = ack.send(ListenerId(self.token(idx)));
-    }
-
-    fn take_logs(&mut self, id: ListenerId) -> Vec<ConnLog> {
-        let Some(idx) = self.resolve(id) else { return Vec::new() };
-        match self.slab[idx].entry.as_mut() {
-            Some(Entry::OriginListener(l)) => std::mem::take(&mut l.logs),
-            Some(Entry::ProxyListener(l)) => std::mem::take(&mut l.logs),
-            _ => Vec::new(),
-        }
     }
 
     fn resolve(&self, id: ListenerId) -> Option<usize> {
@@ -713,7 +826,7 @@ impl EventLoop {
     }
 
     fn idle_count(&self, addr: SocketAddr) -> usize {
-        self.warm.get(&addr).map_or(0, VecDeque::len)
+        self.idle.get(&addr).map_or(0, VecDeque::len)
     }
 
     // -- submission ------------------------------------------------------
@@ -738,7 +851,7 @@ impl EventLoop {
         }
         for (job, spec) in jobs.into_iter().enumerate() {
             match spec {
-                Job::Exchange(spec) => self.submit_exchange(batch, job, spec, false),
+                Job::Exchange(spec) => self.submit(Sink::Job { batch, job }, spec, false, false),
                 Job::Drive(spec) => {
                     self.pending_connects.push_back(ConnectIntent::Drive { batch, job, spec });
                 }
@@ -746,30 +859,30 @@ impl EventLoop {
         }
     }
 
-    fn submit_exchange(&mut self, batch: usize, job: usize, spec: ExchangeSpec, retried: bool) {
-        let sink = Sink::Job { batch, job };
-        if spec.warm && !retried {
-            if let Some(idx) = self.claim_idle(spec.addr) {
-                self.stats.pool_hits += 1;
-                self.replenish(spec.addr);
-                self.assign_exchange(idx, sink, spec, true, false);
-                return;
-            }
-            self.stats.pool_misses += 1;
-            self.replenish(spec.addr);
+    /// Starts an exchange on an idle pooled connection to its address,
+    /// or on a fresh connect when none is idle. A retry always connects;
+    /// `reused` carries its stale claim's hit/miss.
+    fn submit(&mut self, sink: Sink, spec: ExchangeSpec, reused: bool, retried: bool) {
+        if !self.listeners.contains_key(&spec.addr) {
+            return self.fail(sink, NetError::not_hosted(spec.addr), retried);
         }
-        self.pending_connects.push_back(ConnectIntent::Exchange { sink, spec, retried });
+        if !retried {
+            if let Some(idx) = self.claim_idle(spec.addr) {
+                return self.assign_exchange(idx, sink, spec, true, false, false);
+            }
+        }
+        self.pending_connects.push_back(ConnectIntent::Exchange { sink, spec, reused, retried });
     }
 
     /// Pops idle pooled connections for `addr` until a live one is found.
     fn claim_idle(&mut self, addr: SocketAddr) -> Option<usize> {
-        let deque = self.warm.get_mut(&addr)?;
+        let deque = self.idle.get_mut(&addr)?;
         while let Some((idx, gen)) = deque.pop_front() {
             if self.slab.get(idx).is_some_and(|s| {
                 s.gen == gen
                     && matches!(
                         s.entry,
-                        Some(Entry::Client(ClientConn { kind: ClientKind::Idle { .. }, .. }))
+                        Some(Entry::Client(ClientConn { kind: ClientKind::Idle, .. }))
                     )
             }) {
                 return Some(idx);
@@ -778,73 +891,68 @@ impl EventLoop {
         None
     }
 
-    /// Tops the pool back up to the registered depth for `addr`.
-    fn replenish(&mut self, addr: SocketAddr) {
-        let Some(&depth) = self.warm_targets.get(&addr) else { return };
-        if self.idle_count(addr) < depth {
-            self.pending_connects.push_back(ConnectIntent::Idle { addr });
-        }
-    }
-
     /// Converts a connected client slot into a running exchange.
     fn assign_exchange(
         &mut self,
         idx: usize,
         sink: Sink,
         spec: ExchangeSpec,
+        pooled: bool,
         reused: bool,
         retried: bool,
     ) {
         let pair = spec.pair.and_then(|id| self.resolve(id));
-        let seq = self.next_seq();
         let read_timeout = spec.read_timeout;
+        let Some(Entry::Client(c)) = self.slab[idx].entry.as_mut() else { return };
+        if c.used {
+            self.stats.pool_hits += 1;
+        } else {
+            self.stats.pool_misses += 1;
+        }
         let state = ExchangeState {
             sink,
             out: mode_bytes(&spec.bytes, &spec.mode),
             out_pos: 0,
-            fin_sent: false,
             resp: Vec::new(),
+            reply_len: None,
             read_timeout,
             started: Instant::now(),
-            reused,
+            pooled,
+            reused: reused || c.used,
             retried,
             pair,
             spec,
         };
-        if let Some(Entry::Client(c)) = self.slab[idx].entry.as_mut() {
-            c.kind = ClientKind::Exchange(Box::new(state));
-            c.seq = seq;
-            if let (Sink::Job { batch, job }, Some(owner), Ok(local)) =
-                (sink, pair, c.stream.local_addr())
-            {
-                self.tickets.insert((owner, local), (batch, job));
+        c.kind = ClientKind::Exchange(Box::new(state));
+        self.timers.restart(Instant::now(), &mut c.deadline, idx, read_timeout);
+        if let (Sink::Job { batch, job }, Some(owner)) = (sink, pair) {
+            self.tickets.insert((owner, c.local), (batch, job));
+        }
+        self.agenda.push_back(Wake::Resume(idx));
+    }
+
+    /// Ends an exchange that never got a connection.
+    fn fail(&mut self, sink: Sink, error: NetError, retried: bool) {
+        match sink {
+            Sink::Relay(owner) => self.agenda.push_back(Wake::RelayDone(owner, Err(()))),
+            Sink::Job { batch, job } => {
+                let out =
+                    ExchangeOutput { error: Some(error), retried, ..ExchangeOutput::default() };
+                self.complete(batch, job, JobOutput::Exchange(out));
             }
         }
-        self.arm(idx, seq, read_timeout);
-        self.agenda.push_back(Wake::Resume(idx));
     }
 
     // -- connect processing ---------------------------------------------
 
     fn do_connect(&mut self, intent: ConnectIntent) {
         match intent {
-            ConnectIntent::Exchange { sink, spec, retried } => match self.open(spec.addr) {
-                Ok(idx) => self.assign_exchange(idx, sink, spec, false, retried),
-                Err(e) => match sink {
-                    Sink::Relay(owner) => self.agenda.push_back(Wake::RelayDone(owner, Err(()))),
-                    Sink::Job { batch, job } => {
-                        let out = ExchangeOutput {
-                            error: Some(NetError::connect(e)),
-                            retried,
-                            ..ExchangeOutput::default()
-                        };
-                        self.complete(batch, job, JobOutput::Exchange(out));
-                    }
-                },
+            ConnectIntent::Exchange { sink, spec, reused, retried } => match self.open(spec.addr) {
+                Ok(idx) => self.assign_exchange(idx, sink, spec, false, reused, retried),
+                Err(e) => self.fail(sink, NetError::connect(e), retried),
             },
             ConnectIntent::Drive { batch, job, spec } => match self.open(spec.addr) {
                 Ok(idx) => {
-                    let seq = self.next_seq();
                     let read_timeout = spec.read_timeout;
                     let mut state = DriveState {
                         batch,
@@ -865,9 +973,8 @@ impl EventLoop {
                     refill_drive(&mut state);
                     if let Some(Entry::Client(c)) = self.slab[idx].entry.as_mut() {
                         c.kind = ClientKind::Drive(Box::new(state));
-                        c.seq = seq;
                     }
-                    self.arm(idx, seq, read_timeout);
+                    self.restart_deadline(idx, read_timeout);
                     self.agenda.push_back(Wake::Resume(idx));
                 }
                 Err(_) => {
@@ -876,40 +983,37 @@ impl EventLoop {
                 }
             },
             ConnectIntent::Idle { addr } => {
-                let depth = self.warm_targets.get(&addr).copied().unwrap_or(0);
-                if self.idle_count(addr) >= depth {
-                    return; // pool refilled by a competing intent
-                }
                 if let Ok(idx) = self.open(addr) {
-                    if let Some(Entry::Client(c)) = self.slab[idx].entry.as_mut() {
-                        c.kind = ClientKind::Idle { addr };
-                    }
                     let gen = self.slab[idx].gen;
-                    self.warm.entry(addr).or_default().push_back((idx, gen));
-                    if self.warm_filled.get(&addr).copied().unwrap_or(false) {
-                        self.stats.conn_churn += 1;
-                    } else if self.idle_count(addr) >= depth {
-                        self.warm_filled.insert(addr, true);
-                    }
+                    self.idle.entry(addr).or_default().push_back((idx, gen));
                 }
             }
         }
     }
 
-    /// Opens a client connection and registers it as an (unassigned)
-    /// idle entry; the caller converts it.
+    /// Opens a client connection, registers it as an (unassigned) idle
+    /// entry the caller converts or parks, and files it for linking with
+    /// its accepted end.
     fn open(&mut self, addr: SocketAddr) -> std::io::Result<usize> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nonblocking(true)?;
         stream.set_nodelay(true)?;
+        let local = stream.local_addr()?;
         self.stats.conns_opened += 1;
         let fd = stream.as_raw_fd();
-        let idx = self.insert(Entry::Client(ClientConn {
+        let client = ClientConn {
             stream,
-            kind: ClientKind::Idle { addr },
-            seq: 0,
-        }));
+            local,
+            addr,
+            kind: ClientKind::Idle,
+            deadline: Deadline::default(),
+            used: false,
+        };
+        let idx = self.insert(Entry::Client(client));
         let _ = self.register(fd, idx);
+        if let Some(&listener) = self.listeners.get(&addr) {
+            self.unaccepted.insert((listener, local), (idx, self.slab[idx].gen));
+        }
         Ok(idx)
     }
 
@@ -939,10 +1043,14 @@ impl EventLoop {
             Entry::EchoConn(c) => self.serve(idx, c, wake),
             Entry::Client(mut c) => {
                 let open = match wake {
-                    Wake::Deadline(_, seq) if seq != c.seq => true,
+                    Wake::Deadline(_, seq)
+                        if !self.timers.expired(Instant::now(), &mut c.deadline, idx, seq) =>
+                    {
+                        true
+                    }
                     Wake::Deadline(..) => {
                         self.stats.deadline_fires += 1;
-                        self.client_deadline(&mut c)
+                        self.client_deadline(idx, &mut c)
                     }
                     _ => self.client_step(idx, &mut c),
                 };
@@ -966,10 +1074,11 @@ impl EventLoop {
             let _ = stream.set_nodelay(true);
             self.stats.conns_opened += 1;
             let fd = stream.as_raw_fd();
-            let seq = self.next_seq();
+            let client = self.unaccepted.remove(&(owner, peer));
             let idx = self.insert(M::served(Box::new(Served {
                 stream,
                 machine: l.fresh.clone(),
+                fresh: l.fresh.clone(),
                 host: Rc::clone(&l.host),
                 owner,
                 peer,
@@ -977,10 +1086,15 @@ impl EventLoop {
                 upstream: l.upstream,
                 step: Step::Read,
                 out_pos: 0,
-                seq,
+                deadline: Deadline::default(),
+                client,
+                got: 0,
+                sent: 0,
+                eof_fed: false,
+                closing: false,
             })));
             let _ = self.register(fd, idx);
-            self.arm(idx, seq, l.read_timeout);
+            self.restart_deadline(idx, l.read_timeout);
         }
         self.slab[owner].entry = Some(M::listening(l));
     }
@@ -995,15 +1109,22 @@ impl EventLoop {
     }
 
     /// Feeds the wake's input, then writes, reads and feeds until the
-    /// socket would block, a relay is in flight, or the machine closes.
+    /// socket would block, a relay is in flight, or the machine closes
+    /// for good. The exchange's end reaches the machine as EOF once its
+    /// bytes are all read.
     fn step_served<M: Role>(&mut self, idx: usize, c: &mut Served<M>, wake: Wake) -> bool {
         let mut progressed = false;
         let mut deadline = false;
         match wake {
-            Wake::Deadline(_, seq) if seq != c.seq => return true,
+            Wake::Deadline(_, seq)
+                if !self.timers.expired(Instant::now(), &mut c.deadline, idx, seq) =>
+            {
+                return true
+            }
             Wake::Deadline(..) => {
                 self.stats.deadline_fires += 1;
                 deadline = true;
+                c.closing = true;
                 c.step = c.machine.feed(&c.host, Input::Deadline);
             }
             Wake::RelayDone(_, response) => {
@@ -1017,6 +1138,7 @@ impl EventLoop {
             let out = c.machine.output();
             match drain_write(&mut c.stream, out, &mut c.out_pos) {
                 WriteOutcome::Flushed => {
+                    c.sent += out.len();
                     out.clear();
                     c.out_pos = 0;
                 }
@@ -1027,16 +1149,23 @@ impl EventLoop {
                 WriteOutcome::Error => {
                     out.clear();
                     c.out_pos = 0;
+                    c.closing = true;
                     c.step = c.machine.feed(&c.host, Input::WriteError);
                 }
             }
             match &mut c.step {
                 Step::Close => {
-                    if let Some(log) = c.machine.finish().and_then(M::keep) {
+                    // A deadline before any byte of an exchange is an idle
+                    // pooled connection timing out: there is nothing to log.
+                    let idle = deadline && c.got == 0;
+                    if let Some(log) = c.machine.finish().filter(|_| !idle).and_then(M::keep) {
                         self.deliver(c.owner, c.peer, log);
                     }
-                    let _ = c.stream.shutdown(Shutdown::Both);
-                    return false;
+                    if !self.end_exchange(c) {
+                        let _ = c.stream.shutdown(Shutdown::Both);
+                        return false;
+                    }
+                    progressed = true;
                 }
                 Step::Relay(bytes) if bytes.is_empty() => return true,
                 Step::Relay(bytes) => {
@@ -1044,32 +1173,80 @@ impl EventLoop {
                     self.relay(idx, c.upstream, bytes, c.read_timeout);
                     // The downstream deadline is suspended while the
                     // relay runs, as in a blocking hop.
-                    c.seq = self.next_seq();
+                    c.deadline.at = None;
                     return true;
                 }
                 Step::Hold => {
+                    c.closing = true;
                     if let Some(log) = c.machine.finish().and_then(M::keep) {
                         self.deliver(c.owner, c.peer, log);
                     }
                 }
                 Step::Read => {}
             }
-            let input = match c.stream.read(&mut chunk) {
-                Ok(0) => Input::Eof,
-                Ok(n) => {
-                    progressed = true;
-                    Input::Read(&chunk[..n])
+            let input = if !c.eof_fed && self.exchange_len(c.client) == Some(c.got) {
+                c.eof_fed = true;
+                Input::Eof
+            } else {
+                match c.stream.read(&mut chunk) {
+                    Ok(0) => {
+                        c.closing = true;
+                        Input::Eof
+                    }
+                    Ok(n) => {
+                        progressed = true;
+                        c.got += n;
+                        Input::Read(&chunk[..n])
+                    }
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                    Err(_) => {
+                        c.closing = true;
+                        Input::ReadError
+                    }
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => Input::ReadError,
             };
             c.step = c.machine.feed(&c.host, input);
         }
         if progressed {
-            c.seq = self.next_seq();
-            self.arm(idx, c.seq, c.read_timeout);
+            self.timers.restart(Instant::now(), &mut c.deadline, idx, c.read_timeout);
         }
+        true
+    }
+
+    /// The byte count N of the exchange the linked client is running,
+    /// until the served end has ended it.
+    fn exchange_len(&self, client: Option<(usize, u32)>) -> Option<usize> {
+        let (idx, gen) = client?;
+        let slot = self.slab.get(idx).filter(|s| s.gen == gen)?;
+        match &slot.entry {
+            Some(Entry::Client(ClientConn { kind: ClientKind::Exchange(state), .. })) => {
+                state.reply_len.is_none().then_some(state.out.len())
+            }
+            _ => None,
+        }
+    }
+
+    /// Ends the exchange inside the loop when the machine closed after
+    /// reading exactly the exchange's bytes and nothing forces a real
+    /// close: tells the client the reply length M and swaps in a fresh
+    /// machine. Returns whether the connection stays open.
+    fn end_exchange<M: Role>(&mut self, c: &mut Served<M>) -> bool {
+        let Some((client, _)) = c.client else { return false };
+        if c.closing || self.exchange_len(c.client) != Some(c.got) {
+            return false;
+        }
+        c.machine = c.fresh.clone();
+        if let Some(Entry::Client(ClientConn { kind: ClientKind::Exchange(state), .. })) =
+            self.slab[client].entry.as_mut()
+        {
+            state.reply_len = Some(c.sent);
+        }
+        self.agenda.push_back(Wake::Resume(client));
+        c.step = Step::Read;
+        c.got = 0;
+        c.sent = 0;
+        c.eof_fed = false;
         true
     }
 
@@ -1086,31 +1263,17 @@ impl EventLoop {
             self.agenda.push_back(Wake::RelayDone(owner, Err(())));
             return;
         };
-        let spec = ExchangeSpec {
-            addr,
-            bytes,
-            mode: SendMode::Whole,
-            read_timeout,
-            pair: None,
-            warm: false,
-        };
-        let sink = Sink::Relay(owner);
-        self.pending_connects.push_back(ConnectIntent::Exchange { sink, spec, retried: false });
+        let spec = ExchangeSpec { addr, bytes, mode: SendMode::Whole, read_timeout, pair: None };
+        self.submit(Sink::Relay(owner), spec, false, false);
     }
 
-    /// Delivers a connection log to its paired exchange, or to the
-    /// listener's accumulated logs.
+    /// Delivers a connection log to its paired exchange; a log no
+    /// exchange is paired with is dropped.
     fn deliver(&mut self, owner: usize, peer: SocketAddr, log: ConnLog) {
         if let Some((batch, job)) = self.tickets.remove(&(owner, peer)) {
             if let Some(Some(b)) = self.batches.get_mut(batch) {
                 b.pending_logs.insert(job, log);
-                return;
             }
-        }
-        match self.slab.get_mut(owner).and_then(|s| s.entry.as_mut()) {
-            Some(Entry::OriginListener(l)) => l.logs.push(log),
-            Some(Entry::ProxyListener(l)) => l.logs.push(log),
-            _ => {}
         }
     }
 
@@ -1118,7 +1281,7 @@ impl EventLoop {
 
     fn client_step(&mut self, idx: usize, c: &mut ClientConn) -> bool {
         match &mut c.kind {
-            ClientKind::Idle { addr } => {
+            ClientKind::Idle => {
                 // Any readiness on an idle pooled connection means the
                 // server closed (or errored) it: evict.
                 let mut sink = Vec::new();
@@ -1126,8 +1289,9 @@ impl EventLoop {
                     ReadOutcome::More(false) => true, // spurious (writable edge)
                     _ => {
                         self.stats.pool_evictions += 1;
-                        let addr = *addr;
-                        self.drop_idle_entry(addr, idx);
+                        if let Some(q) = self.idle.get_mut(&c.addr) {
+                            q.retain(|(i, _)| *i != idx);
+                        }
                         false
                     }
                 }
@@ -1137,45 +1301,30 @@ impl EventLoop {
         }
     }
 
-    fn drop_idle_entry(&mut self, addr: SocketAddr, idx: usize) {
-        if let Some(q) = self.warm.get_mut(&addr) {
-            q.retain(|(i, _)| *i != idx);
-        }
-    }
-
     fn exchange_step(&mut self, idx: usize, c: &mut ClientConn) -> bool {
         let ClientKind::Exchange(state) = &mut c.kind else { return true };
-        if !state.fin_sent {
-            let out = std::mem::take(&mut state.out);
-            match drain_write(&mut c.stream, &out, &mut state.out_pos) {
-                WriteOutcome::Flushed => {
-                    let _ = c.stream.shutdown(Shutdown::Write);
-                    state.fin_sent = true;
-                }
-                WriteOutcome::Partial => state.out = out,
-                WriteOutcome::Error => {
-                    return self.exchange_done(c, ExchangeEnd::WriteError);
-                }
-            }
+        let state = &mut **state;
+        if let WriteOutcome::Error = drain_write(&mut c.stream, &state.out, &mut state.out_pos) {
+            return self.exchange_done(idx, c, ExchangeEnd::WriteError);
         }
-        let ClientKind::Exchange(state) = &mut c.kind else { return true };
-        let read_timeout = state.read_timeout;
         let progressed = match drain_read(&mut c.stream, &mut state.resp) {
             ReadOutcome::More(any) => any,
-            ReadOutcome::Eof => return self.exchange_done(c, ExchangeEnd::Eof),
-            ReadOutcome::Error => return self.exchange_done(c, ExchangeEnd::ReadError),
+            ReadOutcome::Eof => return self.exchange_done(idx, c, ExchangeEnd::Eof),
+            ReadOutcome::Error => return self.exchange_done(idx, c, ExchangeEnd::ReadError),
         };
+        if state.reply_len.is_some_and(|m| state.resp.len() >= m) {
+            return self.exchange_done(idx, c, ExchangeEnd::Served);
+        }
         if progressed {
-            c.seq = self.next_seq();
-            self.wheel.arm(Instant::now(), idx, c.seq, read_timeout);
+            self.timers.restart(Instant::now(), &mut c.deadline, idx, state.read_timeout);
         }
         true
     }
 
-    fn client_deadline(&mut self, c: &mut ClientConn) -> bool {
+    fn client_deadline(&mut self, idx: usize, c: &mut ClientConn) -> bool {
         match &mut c.kind {
-            ClientKind::Idle { .. } => true,
-            ClientKind::Exchange(_) => self.exchange_done(c, ExchangeEnd::Deadline),
+            ClientKind::Idle => true,
+            ClientKind::Exchange(_) => self.exchange_done(idx, c, ExchangeEnd::Deadline),
             ClientKind::Drive(_) => {
                 self.drive_complete(c, true);
                 false
@@ -1183,38 +1332,48 @@ impl EventLoop {
         }
     }
 
-    /// Completes an exchange (always closing its connection): a job gets
-    /// its output, a relay's proxy connection gets the response — only
-    /// a clean EOF counts as a completed relay, as in a blocking hop.
-    fn exchange_done(&mut self, c: &mut ClientConn, end: ExchangeEnd) -> bool {
-        let ClientKind::Exchange(state) = &mut c.kind else { return true };
-        let local = c.stream.local_addr().ok();
-        let _ = c.stream.shutdown(Shutdown::Both);
+    /// Completes an exchange. A loop-ended one returns its connection to
+    /// the pool; any other end closes it. A job gets its output, a
+    /// relay's proxy connection the response — only a whole reply (the
+    /// loop's end or a clean EOF) counts as a completed relay, as in a
+    /// blocking hop. Returns whether the connection stays open.
+    fn exchange_done(&mut self, idx: usize, c: &mut ClientConn, end: ExchangeEnd) -> bool {
+        let ClientKind::Exchange(state) = std::mem::replace(&mut c.kind, ClientKind::Idle) else {
+            return true;
+        };
+        let keep = end == ExchangeEnd::Served;
+        if keep {
+            c.used = true;
+            c.deadline.at = None;
+            self.idle.entry(c.addr).or_default().push_back((idx, self.slab[idx].gen));
+        } else {
+            let _ = c.stream.shutdown(Shutdown::Both);
+        }
+        // An unclaimed ticket means the server delivered no log.
+        let unlogged =
+            state.pair.is_none_or(|owner| self.tickets.remove(&(owner, c.local)).is_some());
+        // Stale pooled connection: the server closed it as it was
+        // claimed — no bytes, no log, nothing charged. Retry once fresh.
+        let stale =
+            matches!(end, ExchangeEnd::Eof | ExchangeEnd::ReadError | ExchangeEnd::WriteError)
+                && state.pooled
+                && !state.retried
+                && state.resp.is_empty()
+                && unlogged;
+        if stale {
+            self.stats.pool_evictions += 1;
+            self.submit(state.sink, state.spec, state.reused, true);
+            return false;
+        }
         let (batch, job) = match state.sink {
             Sink::Relay(owner) => {
-                let response = std::mem::take(&mut state.resp);
-                let result = if end == ExchangeEnd::Eof { Ok(response) } else { Err(()) };
+                let whole = matches!(end, ExchangeEnd::Served | ExchangeEnd::Eof);
+                let result = if whole { Ok(state.resp) } else { Err(()) };
                 self.agenda.push_back(Wake::RelayDone(owner, result));
-                return false;
+                return keep;
             }
             Sink::Job { batch, job } => (batch, job),
         };
-        // Stale pooled connection: the server closed it between claim
-        // and use — no bytes, no log, nothing charged. Retry once fresh.
-        let ticket = state.pair.zip(local);
-        if end != ExchangeEnd::Deadline
-            && state.reused
-            && !state.retried
-            && state.resp.is_empty()
-            && ticket.is_some_and(|t| self.tickets.contains_key(&t))
-        {
-            if let Some(t) = ticket {
-                self.tickets.remove(&t);
-            }
-            let spec = state.spec.clone();
-            self.submit_exchange(batch, job, spec, true);
-            return false;
-        }
         let (mut server_log, mut proxy_log) = (None, None);
         match self.batches.get_mut(batch).and_then(|b| b.as_mut()?.pending_logs.remove(&job)) {
             Some(ConnLog::Server(log)) => server_log = Some(log),
@@ -1224,7 +1383,7 @@ impl EventLoop {
         let error = (end == ExchangeEnd::WriteError)
             .then(|| NetError::io(std::io::Error::other("write failed mid-exchange")));
         let out = ExchangeOutput {
-            response: std::mem::take(&mut state.resp),
+            response: state.resp,
             timed_out: end == ExchangeEnd::Deadline,
             error,
             server_log,
@@ -1234,7 +1393,7 @@ impl EventLoop {
             retried: state.retried,
         };
         self.complete(batch, job, JobOutput::Exchange(out));
-        false
+        keep
     }
 
     fn drive_step(&mut self, idx: usize, c: &mut ClientConn) -> bool {
@@ -1278,9 +1437,7 @@ impl EventLoop {
             break;
         }
         if progressed {
-            let t = state.read_timeout;
-            c.seq = self.next_seq();
-            self.wheel.arm(Instant::now(), idx, c.seq, t);
+            self.timers.restart(Instant::now(), &mut c.deadline, idx, state.read_timeout);
         }
         true
     }
@@ -1330,6 +1487,9 @@ impl EventLoop {
 /// How an exchange ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ExchangeEnd {
+    /// The served end ended the exchange inside the loop; the
+    /// connection stays open for the next one.
+    Served,
     Eof,
     /// A read error; a job treats it as EOF, like the blocking client.
     ReadError,
@@ -1477,8 +1637,9 @@ impl Reactor {
         Ok(AsyncListener { name: "echo".to_string(), addr, id })
     }
 
-    /// Registers `addr` for keep-alive pooling at `depth` pre-opened
-    /// connections, and fills the pool.
+    /// Pre-opens idle pooled connections to `addr`, a listener of this
+    /// reactor, until `depth` are idle. Later exchanges keep the pool
+    /// filled with the connections they return.
     pub fn warm(&self, addr: SocketAddr, depth: usize) {
         let (ack, rx) = channel();
         self.send(Cmd::Warm { addr, depth, ack });
@@ -1491,22 +1652,6 @@ impl Reactor {
     pub fn run(&self, jobs: Vec<Job>) -> Vec<JobOutput> {
         let (done, rx) = channel();
         self.send(Cmd::Submit { jobs, done });
-        rx.recv().unwrap_or_default()
-    }
-
-    /// Drains connection logs accumulated by an origin listener outside
-    /// of paired exchanges.
-    pub fn take_server_logs(&self, id: ListenerId) -> Vec<ConnectionLog> {
-        let (ack, rx) = channel();
-        self.send(Cmd::TakeServerLogs { id, ack });
-        rx.recv().unwrap_or_default()
-    }
-
-    /// Drains connection logs accumulated by a proxy listener outside of
-    /// paired exchanges.
-    pub fn take_proxy_logs(&self, id: ListenerId) -> Vec<ProxyConnLog> {
-        let (ack, rx) = channel();
-        self.send(Cmd::TakeProxyLogs { id, ack });
         rx.recv().unwrap_or_default()
     }
 
@@ -1533,6 +1678,7 @@ mod tests {
     use crate::server::{ServerFault, Teardown};
     use crate::timeout::{io_timeout, stall_observe_timeout};
     use hdiff_servers::ParserProfile;
+    use wheel::TICK;
 
     fn exchange(reactor: &Reactor, l: &AsyncListener, bytes: &[u8]) -> ExchangeOutput {
         exchange_with_timeout(reactor, l, bytes, io_timeout())
@@ -1550,12 +1696,51 @@ mod tests {
             mode: SendMode::Whole,
             read_timeout,
             pair: Some(l.id),
-            warm: false,
         })]);
         match outs.into_iter().next() {
             Some(JobOutput::Exchange(e)) => e,
             other => panic!("expected exchange output, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_restarted_deadline_keeps_one_wheel_entry_and_fires_on_time() {
+        let t0 = Instant::now();
+        let ms = |n| t0 + Duration::from_millis(n);
+        let mut timers = Timers { wheel: Wheel::new(t0), next_seq: 1 };
+        let mut d = Deadline::default();
+        // Restarts the deadline at `now`; returns the wheel's entries.
+        let restart = |timers: &mut Timers, d: &mut Deadline, now, after_ms| {
+            timers.restart(now, d, 7, Duration::from_millis(after_ms));
+            timers.wheel.armed()
+        };
+        // How many deadlines expire when the loop's clock reads `now`.
+        let fired = |timers: &mut Timers, d: &mut Deadline, now: Instant| {
+            let mut due = Vec::new();
+            timers.wheel.advance(now, |c, s| due.push((c, s)));
+            due.into_iter().filter(|&(c, s)| timers.expired(now, d, c, s)).count()
+        };
+        for i in 0..1000 {
+            assert_eq!(restart(&mut timers, &mut d, ms(i / 100), 100), 1, "one entry, moved");
+        }
+        // A shorter restart files an earlier entry and supersedes the other.
+        assert_eq!(restart(&mut timers, &mut d, ms(10), 20), 2);
+        assert_eq!(fired(&mut timers, &mut d, ms(29)), 0, "never early");
+        assert_eq!(fired(&mut timers, &mut d, ms(30) + TICK * 2), 1, "at most a tick late");
+        assert_eq!(fired(&mut timers, &mut d, ms(300)), 0, "the superseded entry is ignored");
+        assert_eq!(timers.wheel.armed(), 0);
+        // An entry that comes up before its moved deadline re-files.
+        assert_eq!(restart(&mut timers, &mut d, ms(400), 100), 1);
+        assert_eq!(restart(&mut timers, &mut d, ms(460), 100), 1);
+        assert_eq!(fired(&mut timers, &mut d, ms(530)), 0);
+        assert_eq!(timers.wheel.armed(), 1, "re-filed, not duplicated");
+        assert_eq!(fired(&mut timers, &mut d, ms(559)), 0);
+        assert_eq!(fired(&mut timers, &mut d, ms(560) + TICK * 2), 1);
+        // A cancelled deadline never fires.
+        restart(&mut timers, &mut d, ms(700), 10);
+        d.at = None;
+        assert_eq!(fired(&mut timers, &mut d, ms(800)), 0);
+        assert_eq!(timers.wheel.armed(), 0);
     }
 
     #[test]
@@ -1599,10 +1784,10 @@ mod tests {
         let config =
             NetServerConfig { fault: Some(ServerFault::Stall), ..NetServerConfig::default() };
         let l = reactor.add_origin(ParserProfile::strict("wire"), config, true).unwrap();
-        // The exchange client FINs after writing; the stalling server's
-        // drain observes it and closes — same as the blocking stack, the
-        // client sees EOF with nothing received and the Stalled log is
-        // already delivered.
+        // The loop ends the exchange once the holding server has read
+        // it; a held connection then closes for real — as on the
+        // blocking stack, the client sees EOF with nothing received and
+        // the Stalled log is already delivered.
         let ex = exchange_with_timeout(
             &reactor,
             &l,
@@ -1649,7 +1834,6 @@ mod tests {
                     mode: SendMode::Whole,
                     read_timeout: io_timeout(),
                     pair: Some(strict.id),
-                    warm: false,
                 })
             })
             .collect();
@@ -1678,7 +1862,6 @@ mod tests {
                 mode: SendMode::Segmented(vec![4, 9]),
                 read_timeout: io_timeout(),
                 pair: Some(l.id),
-                warm: false,
             }),
             Job::Exchange(ExchangeSpec {
                 addr: l.addr,
@@ -1686,7 +1869,6 @@ mod tests {
                 mode: SendMode::TruncateAt(10),
                 read_timeout: io_timeout(),
                 pair: Some(l.id),
-                warm: false,
             }),
         ]);
         let seg = outs[0].as_exchange().unwrap();
@@ -1694,5 +1876,176 @@ mod tests {
         let trunc = outs[1].as_exchange().unwrap();
         let log = trunc.server_log.as_ref().expect("log");
         assert_eq!(log.replies.len(), 1, "truncated prefix finalizes at EOF: {log:?}");
+    }
+
+    /// Server and client timeouts long enough that no pooled connection
+    /// idles out while a test runs, so connection counts are exact.
+    const PATIENT: Duration = Duration::from_secs(10);
+
+    fn patient_origin(reactor: &Reactor, profile: ParserProfile) -> AsyncListener {
+        let config = NetServerConfig { read_timeout: PATIENT, ..NetServerConfig::default() };
+        reactor.add_origin(profile, config, true).unwrap()
+    }
+
+    fn job(l: &AsyncListener, bytes: &[u8], mode: SendMode) -> Job {
+        let (addr, bytes, pair) = (l.addr, bytes.to_vec(), Some(l.id));
+        Job::Exchange(ExchangeSpec { addr, bytes, mode, read_timeout: PATIENT, pair })
+    }
+
+    fn run_one(reactor: &Reactor, job: Job) -> ExchangeOutput {
+        let out = reactor.run(vec![job]).pop().expect("one output");
+        out.as_exchange().expect("exchange output").clone()
+    }
+
+    /// Streams whose logs a reused connection must keep equal to
+    /// `Server::handle_stream`: each is only final at the exchange's end.
+    fn reuse_inputs() -> Vec<(Vec<u8>, SendMode)> {
+        let whole = |b: &[u8]| (b.to_vec(), SendMode::Whole);
+        vec![
+            whole(b"GET /unterminated HTTP/1.1\r\nHost: h\r\n"),
+            whole(b"POST / HTTP/1.1\r\nHost: h\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nab"),
+            whole(b"GET /a HTTP/1.1\r\nHost: h\r\n\r\nGET /b HTTP/1.1\r\nHost: h\r\n\r\n"),
+            (b"GET /truncated HTTP/1.1\r\nHost: h\r\n\r\n".to_vec(), SendMode::TruncateAt(20)),
+        ]
+    }
+
+    fn assert_origin_log(server: &Server, bytes: &[u8], mode: &SendMode, ex: &ExchangeOutput) {
+        let sent = mode_bytes(bytes, mode);
+        let log = ex.server_log.as_ref().expect("paired log");
+        assert_eq!(
+            log.replies,
+            server.handle_stream(&sent),
+            "{:?}",
+            String::from_utf8_lossy(&sent)
+        );
+        assert_eq!(log.bytes_in, sent.len(), "bytes_in counts the exchange");
+        assert_eq!(ex.response.len(), log.bytes_out, "the whole reply arrived");
+        assert!(ex.error.is_none() && !ex.timed_out, "{ex:?}");
+    }
+
+    #[test]
+    fn sequential_and_concurrent_exchanges_reuse_pooled_connections() {
+        let reactor = Reactor::spawn().unwrap();
+        let profile = ParserProfile::strict("wire");
+        let server = Server::new(profile.clone());
+        let l = patient_origin(&reactor, profile);
+        reactor.warm(l.addr, 2);
+        let inputs = reuse_inputs();
+        let mut reused = Vec::new();
+        for i in 0..50 {
+            let (bytes, mode) = &inputs[i % inputs.len()];
+            let ex = run_one(&reactor, job(&l, bytes, mode.clone()));
+            assert_origin_log(&server, bytes, mode, &ex);
+            reused.push(ex.reused);
+        }
+        let batch: Vec<_> = (0..6).map(|i| &inputs[i % inputs.len()]).collect();
+        let outs = reactor.run(batch.iter().map(|(b, m)| job(&l, b, m.clone())).collect());
+        for ((bytes, mode), out) in batch.iter().zip(&outs) {
+            assert_origin_log(&server, bytes, mode, out.as_exchange().unwrap());
+        }
+        let stats = reactor.stats();
+        // Both ends count: the warm fill's two connections carried the
+        // sequential run, and the batch of six connected four more.
+        assert_eq!(stats.conns_opened, 2 * 6, "{stats:?}");
+        assert_eq!(stats.conns_closed, 0, "{stats:?}");
+        assert_eq!((stats.pool_hits, stats.pool_misses), (50, 6), "{stats:?}");
+        let first_uses = reused.iter().position(|&r| r);
+        assert_eq!(first_uses, Some(2), "the warm pair alternates: {reused:?}");
+        assert!(reused[2..].iter().all(|&r| r), "{reused:?}");
+    }
+
+    #[test]
+    fn an_early_closing_reject_is_not_reused() {
+        let reactor = Reactor::spawn().unwrap();
+        let profile = ParserProfile::strict("wire");
+        let server = Server::new(profile.clone());
+        let l = patient_origin(&reactor, profile);
+        let ok: &[u8] = b"GET / HTTP/1.1\r\nHost: h\r\n\r\n";
+        // The reject decides on the first read, well before the
+        // exchange's bytes are all read, so the server closes for real.
+        let mut reject = b"BAD\r\n\r\n".to_vec();
+        reject.resize(4 * CHUNK, b'x');
+
+        let first = run_one(&reactor, job(&l, ok, SendMode::Whole));
+        let rejected = run_one(&reactor, job(&l, &reject, SendMode::Whole));
+        let after = run_one(&reactor, job(&l, ok, SendMode::Whole));
+        let stats = reactor.stats();
+        // The first connection carried two exchanges; only the one
+        // after the reject's close had to connect.
+        assert_eq!(stats.conns_opened, 2 * 2, "{stats:?}");
+        assert_eq!(stats.pool_evictions, 0, "{stats:?}");
+        assert_origin_log(&server, ok, &SendMode::Whole, &first);
+        assert!(rejected.reused, "{rejected:?}");
+        let log = rejected.server_log.as_ref().expect("log before the close");
+        assert_eq!(log.replies, server.handle_stream(&reject));
+        assert_eq!(rejected.response, log.replies[0].response.to_bytes());
+        assert_origin_log(&server, ok, &SendMode::Whole, &after);
+        assert!(!after.reused && !after.retried, "the closed connection left the pool: {after:?}");
+    }
+
+    #[test]
+    fn proxy_relays_reuse_echo_connections() {
+        use crate::proxy::NetProxyConfig;
+        let reactor = Reactor::spawn().unwrap();
+        let echo = reactor.add_echo(PATIENT).unwrap();
+        let mut profile = ParserProfile::strict("strictproxy");
+        profile.proxy = Some(hdiff_servers::profile::ProxyBehavior::strict());
+        let proxy = Proxy::new(profile.clone());
+        let config = NetProxyConfig { read_timeout: PATIENT, ..NetProxyConfig::new(echo.addr) };
+        let l = reactor.add_proxy(profile, config).unwrap();
+        let single: &[u8] = b"GET /a HTTP/1.1\r\nHost: h\r\n\r\n";
+        let pipelined: &[u8] =
+            b"GET /a HTTP/1.1\r\nHost: h\r\n\r\nGET /b HTTP/1.1\r\nHost: h\r\n\r\n";
+        for i in 0..20 {
+            let bytes = if i % 2 == 0 { single } else { pipelined };
+            let ex = run_one(&reactor, job(&l, bytes, SendMode::Whole));
+            let log = ex.proxy_log.as_ref().expect("paired proxy log");
+            assert_eq!(log.results, proxy.forward_stream(bytes), "exchange {i}");
+            let echoed = String::from_utf8_lossy(&ex.response);
+            assert_eq!(echoed.matches("HTTP/1.1 200").count(), log.results.len(), "{echoed}");
+        }
+        let stats = reactor.stats();
+        // One proxy connection and one echo connection, both ends each,
+        // carried all twenty exchanges and their thirty relays.
+        assert_eq!(stats.conns_opened, 2 * 2, "{stats:?}");
+        assert_eq!((stats.pool_hits, stats.pool_misses), (19 + 29, 2), "{stats:?}");
+    }
+
+    #[test]
+    fn pool_telemetry_reconciles_with_the_loops_connects() {
+        let reactor = Reactor::spawn().unwrap();
+        let l = patient_origin(&reactor, ParserProfile::strict("wire"));
+        reactor.warm(l.addr, 2);
+        let req: &[u8] = b"GET / HTTP/1.1\r\nHost: h\r\n\r\n";
+        let ((), tel) = hdiff_obs::with_case(1, || {
+            for _ in 0..10 {
+                run_one(&reactor, job(&l, req, SendMode::Whole)).observe();
+            }
+            let batch = (0..6).map(|_| job(&l, req, SendMode::Whole)).collect();
+            for out in reactor.run(batch) {
+                out.as_exchange().unwrap().observe();
+            }
+        });
+        let counter = |name: &str| tel.counters.get(name).copied().unwrap_or(0);
+        let (hits, misses, evicts) =
+            (counter("net.pool.hit"), counter("net.pool.miss"), counter("net.pool.evict"));
+        let client_connects = reactor.stats().conns_opened / 2;
+        assert_eq!(hits + misses, 16 + evicts, "{:?}", tel.counters);
+        assert_eq!(misses, client_connects, "every miss is a connect: {:?}", tel.counters);
+        assert_eq!(counter("net.conn.open"), client_connects, "{:?}", tel.counters);
+        assert_eq!((hits, misses, evicts), (10, 6, 0), "{:?}", tel.counters);
+    }
+
+    #[test]
+    fn an_address_the_loop_does_not_host_is_a_typed_error() {
+        let reactor = Reactor::spawn().unwrap();
+        let stranger = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = stranger.local_addr().unwrap();
+        let bytes = b"GET / HTTP/1.1\r\nHost: h\r\n\r\n".to_vec();
+        let spec =
+            ExchangeSpec { addr, bytes, mode: SendMode::Whole, read_timeout: PATIENT, pair: None };
+        let ex = run_one(&reactor, Job::Exchange(spec));
+        assert_eq!(ex.error.map(|e| e.kind), Some(crate::NetErrorKind::NotHosted));
+        assert_eq!(reactor.stats().conns_opened, 0);
     }
 }

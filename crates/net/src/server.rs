@@ -61,9 +61,11 @@ pub struct ConnectionLog {
     /// Replies produced, in order — interpretation plus response, exactly
     /// what the in-process engine records.
     pub replies: Vec<ServerReply>,
-    /// Total request bytes received on the connection.
+    /// Request bytes received: over the whole connection on a blocking
+    /// listener, over one exchange on the reactor (whose pooled
+    /// connections log each exchange on its own).
     pub bytes_in: usize,
-    /// Total response bytes written to the connection.
+    /// Response bytes written, counted like `bytes_in`.
     pub bytes_out: usize,
     /// How the connection ended.
     pub teardown: Teardown,

@@ -5,9 +5,11 @@
 //! origin servers, all proxy hops, and one shared echo upstream — inside
 //! a single [`crate::reactor::Reactor`] event loop that lives as long as
 //! the testbed. Cases fan out to every view *concurrently* as one job
-//! batch, connections come from the reactor's warm keep-alive pool, and
-//! each exchange collects its own connection log through the reactor's
-//! pairing tickets (so interleaved cases can never mix logs up).
+//! batch, exchanges and relays ride the reactor's keep-alive pool (a
+//! case reuses the connections earlier cases returned instead of opening
+//! new ones), and each exchange collects its own connection log through
+//! the reactor's pairing tickets (so interleaved cases can never mix
+//! logs up).
 //!
 //! A campaign runs one testbed per worker thread: [`TestbedPool`] hands
 //! each case an idle testbed and spawns a new one only when none is idle,
@@ -27,7 +29,8 @@ use crate::reactor::{
 use crate::server::NetServerConfig;
 use crate::timeout::io_timeout;
 
-/// Idle keep-alive connections the reactor pre-opens per listener.
+/// Idle keep-alive connections the reactor pre-opens per backend and
+/// proxy listener; exchanges grow each pool to its peak concurrency.
 pub const WARM_DEPTH: usize = 2;
 
 /// Every profile of a campaign, served by one event loop (one shard of
@@ -42,7 +45,8 @@ pub struct AsyncTestbed {
 impl AsyncTestbed {
     /// Spawns the reactor and hosts `backends` as origin listeners and
     /// `proxies` as forwarding hops (relaying to a shared non-recording
-    /// echo), then pre-warms a keep-alive pool for every listener.
+    /// echo), then pre-warms a keep-alive pool for every backend and
+    /// proxy listener.
     ///
     /// Fails with a typed error on unsupported targets (no epoll
     /// backend) — callers degrade to the blocking transport.
@@ -84,8 +88,7 @@ impl AsyncTestbed {
     }
 
     /// An exchange job against `listener`, paired so the output carries
-    /// the connection log, claiming a warm pooled connection when one is
-    /// available.
+    /// the connection log.
     pub fn exchange_job(&self, listener: &AsyncListener, bytes: &[u8], mode: SendMode) -> Job {
         Job::Exchange(ExchangeSpec {
             addr: listener.addr,
@@ -93,7 +96,6 @@ impl AsyncTestbed {
             mode,
             read_timeout: io_timeout(),
             pair: Some(listener.id),
-            warm: true,
         })
     }
 
@@ -120,7 +122,7 @@ impl AsyncTestbed {
             .unwrap_or_default()
     }
 
-    /// Reactor counter snapshot (pool hits/misses, churn, wakeups).
+    /// Reactor counter snapshot (connections, pool hits/misses, wakeups).
     pub fn stats(&self) -> ReactorStats {
         self.reactor.stats()
     }
@@ -281,7 +283,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_pool_serves_repeat_cases() {
+    fn repeat_cases_ride_pooled_connections() {
         let testbed = AsyncTestbed::new(&[ParserProfile::strict("wire")], &[]).unwrap();
         let l = testbed.backends()[0].clone();
         let bytes: &[u8] = b"GET / HTTP/1.1\r\nHost: h\r\n\r\n";
@@ -293,6 +295,7 @@ mod tests {
         let stats = testbed.stats();
         assert!(stats.pool_hits >= 1, "{stats:?}");
         assert_eq!(stats.pool_hits + stats.pool_misses, 4, "{stats:?}");
+        assert_eq!(stats.conns_closed, 0, "no exchange closed its connection: {stats:?}");
     }
 
     #[test]
