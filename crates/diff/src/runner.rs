@@ -25,7 +25,7 @@ use crate::detect::{detect_case_with_oracle, detect_degradation, DegradationFind
 use crate::findings::Finding;
 use crate::schedule;
 use crate::shard::{ShardError, ShardTopology};
-use crate::srcheck::{check_all, check_host_conformance, SrViolation};
+use crate::srcheck::{check_case, check_case_host, SrViolation};
 use crate::syntax::SyntaxOracle;
 use crate::transport::{try_run_case_tcp, try_run_case_tcp_async, Transport};
 use crate::verdict::{PairMatrix, Verdicts};
@@ -173,7 +173,7 @@ impl RunSummary {
     }
 }
 
-/// What [`ProgressHook`] reports after every completed chunk.
+/// What [`ProgressHook`] reports after every checkpoint interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkProgress {
     /// Completed cases so far, including any resumed from a checkpoint.
@@ -183,8 +183,9 @@ pub struct ChunkProgress {
     pub generation: u64,
 }
 
-/// A per-chunk progress callback — how a shard worker streams heartbeats
-/// to its supervisor without the engine knowing what a supervisor is.
+/// A per-interval progress callback — how a shard worker streams
+/// heartbeats to its supervisor without the engine knowing what a
+/// supervisor is.
 pub struct ProgressHook(Box<dyn Fn(ChunkProgress) + Send + Sync>);
 
 impl ProgressHook {
@@ -219,14 +220,20 @@ pub struct DiffEngine {
     pub max_retries: u32,
     /// Logical step budget per case attempt.
     pub step_budget: u64,
-    /// Cases per checkpoint interval for [`DiffEngine::run_with_checkpoint`].
+    /// Completions per checkpoint interval: the calling thread saves the
+    /// checkpoint (when the run has a path) and calls
+    /// [`DiffEngine::progress`] after every `checkpoint_every` completed
+    /// cases, and once more after the last. The other workers keep
+    /// running meanwhile; an interval is bookkeeping, never a barrier.
     pub checkpoint_every: usize,
     /// Stop after this many checkpoint intervals — simulates a campaign
-    /// killed mid-run (tests and operational drills).
+    /// killed mid-run (tests and operational drills). Workers claim at
+    /// most the first `n × checkpoint_every` pending cases, so the kill
+    /// lands after exactly those cases, whatever the thread count.
     pub stop_after_chunks: Option<usize>,
     /// Optional grammar-conformance oracle. When set, HoT findings carry
     /// per-view `Host` validity verdicts and the summary includes
-    /// [`check_host_conformance`] violations.
+    /// [`crate::srcheck::check_host_conformance`] violations.
     pub syntax_oracle: Option<SyntaxOracle>,
     /// Grammar coverage reached while generating the corpus, carried into
     /// every [`RunSummary`] this engine produces. The engine itself never
@@ -239,8 +246,9 @@ pub struct DiffEngine {
     /// pipeline runs) — merged into every [`RunSummary`] this engine
     /// produces, never mutated by the engine itself.
     pub base_telemetry: hdiff_obs::Telemetry,
-    /// Called after every chunk (post-save when checkpointing) — the
-    /// shard worker's heartbeat source.
+    /// Called on the calling thread after every checkpoint interval
+    /// (post-save when checkpointing) while the other workers keep
+    /// running — the shard worker's heartbeat source.
     pub progress: Option<ProgressHook>,
     /// The multiplexed-transport testbeds: each case checks out an idle
     /// one, so there is one shard (and one event loop) per concurrent
@@ -307,7 +315,7 @@ impl DiffEngine {
         let mut completed = BTreeMap::new();
         self.execute(cases, &mut completed, None, 0)
             .expect("no I/O happens without a checkpoint path");
-        self.summarize(cases, &completed)
+        self.summarize(cases, completed)
     }
 
     /// Like [`DiffEngine::run`], but checkpoints progress to `path` every
@@ -322,7 +330,7 @@ impl DiffEngine {
             (BTreeMap::new(), 0)
         };
         self.execute(cases, &mut completed, Some(path), generation)?;
-        Ok(self.summarize(cases, &completed))
+        Ok(self.summarize(cases, completed))
     }
 
     /// The shard-worker entry point: like
@@ -344,25 +352,30 @@ impl DiffEngine {
         if let Some(hook) = &self.progress {
             hook.report(ChunkProgress { completed: completed.len(), generation: generation + 1 });
         }
-        Ok(self.summarize(cases, &completed))
+        Ok(self.summarize(cases, completed))
     }
 
     /// Assembles a [`RunSummary`] from records produced elsewhere (the
     /// fleet supervisor merging per-shard checkpoints). Same corpus-order
     /// reassembly as every in-process run, so the result is identical to
-    /// running `cases` directly.
+    /// running `cases` directly. The records are borrowed, so this is the
+    /// one summary path that clones them.
     pub fn summarize_records(
         &self,
         cases: &[TestCase],
         completed: &BTreeMap<u64, CaseRecord>,
     ) -> RunSummary {
-        self.summarize(cases, completed)
+        self.summarize(cases, completed.clone())
     }
 
-    /// Executes every not-yet-completed case, chunk by chunk, saving a
-    /// checkpoint (when a path is given) at each chunk boundary with a
-    /// generation counter continuing from `generation`. Returns the last
-    /// generation written.
+    /// Executes every not-yet-completed case in one work-stealing pass
+    /// over [`DiffEngine::effective_threads`] workers (see
+    /// [`schedule::run_streaming`]): this thread and the ones spawned once
+    /// for the whole pass. Every record streams back to this thread, which
+    /// inserts it and, every [`DiffEngine::checkpoint_every`] completions
+    /// and after the last, saves a checkpoint (when a path is given) with a
+    /// generation counter continuing from `generation` and reports
+    /// progress. Returns the last generation written.
     fn execute(
         &self,
         cases: &[TestCase],
@@ -370,36 +383,35 @@ impl DiffEngine {
         ckpt: Option<&Path>,
         mut generation: u64,
     ) -> io::Result<u64> {
-        let pending: Vec<&TestCase> =
+        let every = self.checkpoint_every.max(1);
+        let mut pending: Vec<&TestCase> =
             cases.iter().filter(|c| !completed.contains_key(&c.uuid)).collect();
-        // Resolve the thread count once per run; `available_parallelism`
-        // is a syscall and the answer cannot change between chunks.
-        let threads = self.effective_threads();
-        for (i, chunk) in pending.chunks(self.checkpoint_every.max(1)).enumerate() {
-            if self.stop_after_chunks.is_some_and(|n| i >= n) {
-                break;
-            }
-            for record in self.run_chunk(chunk, threads) {
-                completed.insert(record.uuid, record);
-            }
-            if let Some(path) = ckpt {
-                generation += 1;
-                checkpoint::save_with_generation(path, completed, generation)?;
-            }
-            if let Some(hook) = &self.progress {
-                hook.report(ChunkProgress { completed: completed.len(), generation });
-            }
+        if let Some(n) = self.stop_after_chunks {
+            pending.truncate(n.saturating_mul(every));
         }
+        let total = pending.len();
+        let mut done = 0usize;
+        schedule::run_streaming(
+            &pending,
+            self.effective_threads(),
+            |case| self.run_case_resilient(case),
+            |_, record| -> io::Result<()> {
+                completed.insert(record.uuid, record);
+                done += 1;
+                if !done.is_multiple_of(every) && done != total {
+                    return Ok(());
+                }
+                if let Some(path) = ckpt {
+                    generation += 1;
+                    checkpoint::save_with_generation(path, completed, generation)?;
+                }
+                if let Some(hook) = &self.progress {
+                    hook.report(ChunkProgress { completed: completed.len(), generation });
+                }
+                Ok(())
+            },
+        )?;
         Ok(generation)
-    }
-
-    /// Runs one chunk's cases across the worker threads. Workers steal
-    /// cases from a shared cursor (see [`schedule::run_stealing`]), so a
-    /// stalled-read straggler occupies one thread while the rest drain
-    /// the chunk, and a chunk smaller than the thread count spawns only
-    /// as many workers as it has cases.
-    fn run_chunk(&self, chunk: &[&TestCase], threads: usize) -> Vec<CaseRecord> {
-        schedule::run_stealing(chunk, threads, |case| self.run_case_resilient(case))
     }
 
     /// Runs one case under `catch_unwind` with a fresh fault session per
@@ -546,8 +558,15 @@ impl DiffEngine {
 
     /// Assembles the summary from completed records, iterating the input
     /// corpus in order so the result is identical however (and across how
-    /// many interruptions) the records were produced.
-    fn summarize(&self, cases: &[TestCase], completed: &BTreeMap<u64, CaseRecord>) -> RunSummary {
+    /// many interruptions) the records were produced. The records are
+    /// consumed: findings and degradations move into the summary. A
+    /// corpus is expected to carry each uuid once; a repeated uuid counts
+    /// once.
+    fn summarize(
+        &self,
+        cases: &[TestCase],
+        mut completed: BTreeMap<u64, CaseRecord>,
+    ) -> RunSummary {
         let mut findings = Vec::new();
         let mut degradations = Vec::new();
         let mut replayed_cases = 0usize;
@@ -563,10 +582,10 @@ impl DiffEngine {
         let mut merged = self.base_telemetry.clone();
         let mut slowest: Vec<(u64, u64)> = Vec::new();
         for case in cases {
-            let Some(r) = completed.get(&case.uuid) else { continue };
+            let Some(r) = completed.remove(&case.uuid) else { continue };
             executed += 1;
-            findings.extend(r.findings.iter().cloned());
-            degradations.extend(r.degradations.iter().cloned());
+            findings.extend(r.findings);
+            degradations.extend(r.degradations);
             replayed_cases += usize::from(r.replayed);
             errors += usize::from(r.error.is_some());
             retries += r.retries as usize;
@@ -584,10 +603,16 @@ impl DiffEngine {
         slowest.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         slowest.truncate(RunTelemetry::SLOWEST_KEPT);
 
-        let mut sr_violations = check_all(&self.profiles, cases);
-        if let Some(oracle) = &self.syntax_oracle {
-            sr_violations.extend(check_host_conformance(oracle, &self.profiles, cases));
-        }
+        // The corpus-only checks run per case across the worker threads
+        // and concatenate in the serial order: every assertion violation
+        // in corpus order, then every `Host`-conformance violation.
+        let per_case = schedule::run_stealing(cases, self.effective_threads(), |case| {
+            let host =
+                self.syntax_oracle.as_ref().map(|o| check_case_host(o, &self.profiles, case));
+            (check_case(&self.profiles, case), host.unwrap_or_default())
+        });
+        let (asserted, host): (Vec<_>, Vec<_>) = per_case.into_iter().unzip();
+        let sr_violations = asserted.into_iter().chain(host).flatten().collect();
         let pairs = PairMatrix::from_findings(&findings);
         let verdicts = Verdicts::from_findings(&findings, &self.profiles);
 

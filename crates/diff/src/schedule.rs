@@ -1,11 +1,18 @@
-//! Work-stealing fan-out for campaign chunks.
+//! Work-stealing fan-out for campaigns.
 //!
-//! The old scheduler pre-split every chunk into `threads` equal slices
-//! (`div_ceil`), so one slow case — a stalled-read fault, a pathological
-//! mutation — pinned its whole slice while sibling workers sat idle.
-//! Here workers share a single atomic cursor over the chunk and claim the
-//! next pending case the moment they finish one, so stragglers never
-//! strand unrelated work behind them.
+//! Workers share a single atomic cursor over the items and claim the next
+//! pending one the moment they finish one, so a straggler — a
+//! stalled-read fault, a pathological mutation — occupies only the thread
+//! that claimed it while the rest drain everything else.
+//!
+//! [`run_streaming`] is the primitive: its workers are spawned once for
+//! the whole item list and stream every result to the calling thread,
+//! itself one of the workers, as it completes. The caller does its
+//! per-result bookkeeping between its own items (the campaign runner
+//! inserts the record, saves a checkpoint and reports progress every
+//! `checkpoint_every` completions) while the other workers keep running,
+//! so no bookkeeping step is a barrier that idles them.
+//! [`run_stealing`] collects the same stream back into input order.
 //!
 //! Telemetry note: workers never touch shared telemetry state. Each case
 //! runs under [`hdiff_obs::with_case`], which collects that case's spans,
@@ -15,59 +22,99 @@
 //! how many workers — executed each case, and resuming from a checkpoint
 //! re-merges persisted buckets without double-counting.
 
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 
-/// Runs `job` over every item, fanning out across at most `workers`
-/// OS threads, and returns the results in input order.
+/// Runs `job` over every item on at most `workers` OS threads and hands
+/// each `(index, result)` to `sink` on the calling thread, in completion
+/// order.
 ///
-/// * Workers claim items one at a time from a shared [`AtomicUsize`]
-///   cursor — no static pre-split, so a straggler only occupies the one
-///   thread that claimed it.
-/// * The worker count is clamped to `items.len()`: a chunk of 3 cases on
-///   a 16-thread engine spawns 3 workers, never 16 (13 of which would
-///   have nothing to do).
-/// * `workers <= 1` (and single-item chunks) run inline on the caller's
-///   thread with no spawning at all.
+/// * The worker count is clamped to `items.len()`. The calling thread is
+///   one of the workers and `workers - 1` more are spawned, once: all of
+///   them claim items one at a time from a shared [`AtomicUsize`] cursor
+///   until it passes the end.
+/// * The spawned workers send their results over a channel. The calling
+///   thread drains it into `sink` after each item it runs itself, and
+///   waits for the rest once the cursor is exhausted. It never sleeps
+///   while items remain, so delivery costs no thread wake-up per item.
+/// * `workers <= 1` (and single-item lists) run inline on the caller's
+///   thread, in input order, with no spawning at all.
+/// * The first error `sink` returns stops the run: no further item is
+///   claimed, items already running finish and are dropped, and the
+///   error is returned once every worker has exited.
+pub fn run_streaming<T, R, E, F, S>(
+    items: &[T],
+    workers: usize,
+    job: F,
+    mut sink: S,
+) -> Result<(), E>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+    S: FnMut(usize, R) -> Result<(), E>,
+{
+    let workers = workers.min(items.len());
+    if workers <= 1 {
+        return items.iter().enumerate().try_for_each(|(idx, item)| sink(idx, job(item)));
+    }
+
+    let cursor = AtomicUsize::new(0);
+    let claim = || {
+        let idx = cursor.fetch_add(1, Ordering::Relaxed);
+        items.get(idx).map(|item| (idx, item))
+    };
+    std::thread::scope(|scope| {
+        let (tx, rx) = mpsc::channel();
+        for _ in 1..workers {
+            let (tx, claim, job) = (tx.clone(), &claim, &job);
+            scope.spawn(move || {
+                while let Some((idx, item)) = claim() {
+                    // A closed receiver means the sink failed: stop claiming.
+                    if tx.send((idx, job(item))).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+        drop(tx);
+        let mut delivered = Ok(());
+        while let Some((idx, item)) = claim() {
+            let result = job(item);
+            delivered =
+                sink(idx, result).and_then(|()| rx.try_iter().try_for_each(|(i, r)| sink(i, r)));
+            if delivered.is_err() {
+                break;
+            }
+        }
+        if delivered.is_ok() {
+            delivered = rx.iter().try_for_each(|(i, r)| sink(i, r));
+        }
+        if delivered.is_err() {
+            cursor.store(items.len(), Ordering::Relaxed);
+        }
+        delivered
+    })
+}
+
+/// Runs `job` over every item through [`run_streaming`] and returns the
+/// results in input order.
 pub fn run_stealing<T, R, F>(items: &[T], workers: usize, job: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let workers = workers.max(1).min(items.len());
-    if workers == 1 {
-        return items.iter().map(&job).collect();
-    }
-
-    let cursor = AtomicUsize::new(0);
     let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
     slots.resize_with(items.len(), || None);
-
-    let buckets: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut done = Vec::new();
-                    loop {
-                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(idx) else { break };
-                        done.push((idx, job(item)));
-                    }
-                    done
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("scheduler worker panicked")).collect()
-    });
-
-    for (idx, result) in buckets.into_iter().flatten() {
-        debug_assert!(slots[idx].is_none(), "case {idx} claimed twice");
+    let streamed = run_streaming(items, workers, job, |idx, result| {
+        debug_assert!(slots[idx].is_none(), "item {idx} claimed twice");
         slots[idx] = Some(result);
-    }
-    slots.into_iter().map(|s| s.expect("every case is claimed exactly once")).collect()
+        Ok::<(), Infallible>(())
+    });
+    let Ok(()) = streamed;
+    slots.into_iter().map(|s| s.expect("every item is claimed exactly once")).collect()
 }
 
 #[cfg(test)]
@@ -116,6 +163,69 @@ mod tests {
             n * 2
         });
         assert_eq!(got, vec![2, 4, 6]);
+    }
+
+    #[test]
+    fn streaming_delivers_every_result_once_from_at_most_workers_threads() {
+        let caller = std::thread::current().id();
+        let items: Vec<usize> = (0..1000).collect();
+        for workers in [1, 2, 3, 4] {
+            let threads = Mutex::new(HashSet::new());
+            let mut delivered = Vec::new();
+            let streamed = run_streaming(
+                &items,
+                workers,
+                |&n| {
+                    threads.lock().unwrap().insert(std::thread::current().id());
+                    n * 7
+                },
+                |idx, r| {
+                    assert_eq!(r, items[idx] * 7);
+                    delivered.push(idx);
+                    Ok::<(), ()>(())
+                },
+            );
+            assert_eq!(streamed, Ok(()));
+            let threads = threads.into_inner().unwrap();
+            assert!(
+                (1..=workers).contains(&threads.len()),
+                "{} threads for {workers} workers",
+                threads.len()
+            );
+            if workers == 1 {
+                assert_eq!(threads, HashSet::from([caller]), "one worker runs inline");
+                assert_eq!(delivered, items, "inline delivery is in input order");
+            }
+            delivered.sort_unstable();
+            assert_eq!(delivered, items, "a result was lost or delivered twice");
+        }
+    }
+
+    #[test]
+    fn a_failing_sink_stops_the_stream() {
+        let items: Vec<usize> = (0..1000).collect();
+        let ran = AtomicUsize::new(0);
+        let mut delivered = 0usize;
+        let streamed = run_streaming(
+            &items,
+            2,
+            |&n| {
+                ran.fetch_add(1, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(1));
+                n
+            },
+            |_, _| {
+                delivered += 1;
+                if delivered == 10 {
+                    Err("disk full")
+                } else {
+                    Ok(())
+                }
+            },
+        );
+        assert_eq!(streamed, Err("disk full"));
+        assert_eq!(delivered, 10, "nothing reaches the sink after its error");
+        assert!(ran.load(Ordering::SeqCst) < items.len(), "workers kept claiming after the error");
     }
 
     /// The no-idle property the rewrite exists for: with one straggler

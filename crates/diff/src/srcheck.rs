@@ -5,7 +5,7 @@
 //! needed. A test case translated from an SR carries assertions; this
 //! module evaluates them against one product's behavior.
 
-use hdiff_gen::{Assertion, TestCase};
+use hdiff_gen::TestCase;
 use hdiff_servers::{interpret, ParserProfile, Proxy};
 use hdiff_sr::{Modality, Role};
 
@@ -53,20 +53,30 @@ fn roles_of(profile: &ParserProfile) -> Vec<Role> {
     roles
 }
 
-fn assertion_binds(assertion: &Assertion, profile: &ParserProfile) -> bool {
-    roles_of(profile).into_iter().any(|r| assertion.role.applies_to(r))
-}
-
 /// Checks one test case's assertions against one implementation.
 pub fn check_assertions(profile: &ParserProfile, case: &TestCase) -> Vec<SrViolation> {
-    let bytes = case.request.to_bytes();
     let mut out = Vec::new();
+    check_assertions_on(profile, case, &case.request.to_bytes(), &mut out);
+    out
+}
+
+/// [`check_assertions`] over the case's serialized bytes, appending to
+/// `out`. The profile interprets the bytes at most once and its proxy hop
+/// forwards them at most once, however many assertions bind it.
+fn check_assertions_on(
+    profile: &ParserProfile,
+    case: &TestCase,
+    bytes: &[u8],
+    out: &mut Vec<SrViolation>,
+) {
+    let roles = roles_of(profile);
+    let mut status = None;
+    let mut forwarded = None;
     for assertion in &case.assertions {
-        if !assertion_binds(assertion, profile) {
+        if !roles.iter().any(|&r| assertion.role.applies_to(r)) {
             continue;
         }
-        let i = interpret(profile, &bytes);
-        let status = i.outcome.status();
+        let status = *status.get_or_insert_with(|| interpret(profile, bytes).outcome.status());
 
         // Status expectation.
         if !assertion.expect.allowed_status.is_empty()
@@ -86,9 +96,10 @@ pub fn check_assertions(profile: &ParserProfile, case: &TestCase) -> Vec<SrViola
 
         // Forwarding expectation (proxies only).
         if assertion.expect.must_not_forward && profile.is_proxy() {
-            let proxy = Proxy::new(profile.clone());
-            let r = proxy.forward(&bytes);
-            if r.action.forwarded().is_some() {
+            let forwarded = *forwarded.get_or_insert_with(|| {
+                Proxy::new(profile.clone()).forward(bytes).action.forwarded().is_some()
+            });
+            if forwarded {
                 out.push(SrViolation {
                     implementation: profile.name.clone(),
                     sr_id: assertion.sr_id.clone(),
@@ -117,7 +128,6 @@ pub fn check_assertions(profile: &ParserProfile, case: &TestCase) -> Vec<SrViola
             }
         }
     }
-    out
 }
 
 /// Grammar-conformance checking against the adapted `Host` production.
@@ -133,31 +143,38 @@ pub fn check_host_conformance(
     profiles: &[ParserProfile],
     cases: &[TestCase],
 ) -> Vec<SrViolation> {
+    cases.iter().flat_map(|case| check_case_host(oracle, profiles, case)).collect()
+}
+
+/// [`check_host_conformance`] for one case.
+pub(crate) fn check_case_host(
+    oracle: &SyntaxOracle,
+    profiles: &[ParserProfile],
+    case: &TestCase,
+) -> Vec<SrViolation> {
     let mut out = Vec::new();
-    for case in cases {
-        let Some(host) = case.request.host() else { continue };
-        if oracle.conforms("Host", host) != Some(false) {
+    let Some(host) = case.request.host() else { return out };
+    if oracle.conforms("Host", host) != Some(false) {
+        return out;
+    }
+    let bytes = case.request.to_bytes();
+    for profile in profiles {
+        let i = interpret(profile, &bytes);
+        if !i.outcome.is_accept() {
             continue;
         }
-        let bytes = case.request.to_bytes();
-        for profile in profiles {
-            let i = interpret(profile, &bytes);
-            if !i.outcome.is_accept() {
-                continue;
-            }
-            out.push(SrViolation {
-                implementation: profile.name.clone(),
-                sr_id: "rfc7230:host-abnf".to_string(),
-                modality: Modality::Must,
-                expected: "400 for a Host field-value outside the Host production".to_string(),
-                observed: format!(
-                    "accepted ({}) despite invalid host {:?}",
-                    i.outcome.status(),
-                    String::from_utf8_lossy(host)
-                ),
-                code_mismatch_only: false,
-            });
-        }
+        out.push(SrViolation {
+            implementation: profile.name.clone(),
+            sr_id: "rfc7230:host-abnf".to_string(),
+            modality: Modality::Must,
+            expected: "400 for a Host field-value outside the Host production".to_string(),
+            observed: format!(
+                "accepted ({}) despite invalid host {:?}",
+                i.outcome.status(),
+                String::from_utf8_lossy(host)
+            ),
+            code_mismatch_only: false,
+        });
     }
     out
 }
@@ -165,14 +182,19 @@ pub fn check_host_conformance(
 /// Checks a batch of cases against a batch of implementations, returning
 /// all violations (mandatory and advisory).
 pub fn check_all(profiles: &[ParserProfile], cases: &[TestCase]) -> Vec<SrViolation> {
+    cases.iter().flat_map(|case| check_case(profiles, case)).collect()
+}
+
+/// [`check_all`] for one case: every profile's violations, in profile
+/// order, from one serialization of the request.
+pub(crate) fn check_case(profiles: &[ParserProfile], case: &TestCase) -> Vec<SrViolation> {
     let mut out = Vec::new();
-    for case in cases {
-        if case.assertions.is_empty() {
-            continue;
-        }
-        for p in profiles {
-            out.extend(check_assertions(p, case));
-        }
+    if case.assertions.is_empty() {
+        return out;
+    }
+    let bytes = case.request.to_bytes();
+    for p in profiles {
+        check_assertions_on(p, case, &bytes, &mut out);
     }
     out
 }

@@ -16,13 +16,20 @@ pub struct PairMatrix {
 impl PairMatrix {
     /// Builds the matrix from findings.
     pub fn from_findings(findings: &[Finding]) -> PairMatrix {
-        let mut m = PairMatrix::default();
+        // Dedupe on borrowed names; only distinct pairs are allocated.
+        let mut borrowed: BTreeMap<AttackClass, BTreeSet<(&str, &str)>> = BTreeMap::new();
         for f in findings {
-            if let Some((front, back)) = f.pair() {
-                m.pairs.entry(f.class).or_default().insert((front.to_string(), back.to_string()));
+            if let Some(pair) = f.pair() {
+                borrowed.entry(f.class).or_default().insert(pair);
             }
         }
-        m
+        let pairs = borrowed
+            .into_iter()
+            .map(|(class, set)| {
+                (class, set.into_iter().map(|(f, b)| (f.to_string(), b.to_string())).collect())
+            })
+            .collect();
+        PairMatrix { pairs }
     }
 
     /// Pairs for one class.
@@ -68,15 +75,16 @@ impl Verdicts {
     ///   CPDoS for products in pure server mode).
     pub fn from_findings(findings: &[Finding], profiles: &[ParserProfile]) -> Verdicts {
         let is_proxy = |name: &str| profiles.iter().any(|p| p.name == name && p.is_proxy());
-        let mut table: BTreeMap<String, BTreeSet<AttackClass>> = BTreeMap::new();
+        // Keyed by borrowed names; each product's name is allocated once.
+        let mut table: BTreeMap<&str, BTreeSet<AttackClass>> = BTreeMap::new();
         for p in profiles {
-            table.entry(p.name.clone()).or_default();
+            table.entry(&p.name).or_default();
         }
         for f in findings {
             match f.class {
                 AttackClass::Hrs => {
                     for c in &f.culprits {
-                        table.entry(c.clone()).or_default().insert(AttackClass::Hrs);
+                        table.entry(c).or_default().insert(AttackClass::Hrs);
                     }
                 }
                 AttackClass::Hot => {
@@ -85,24 +93,25 @@ impl Verdicts {
                     // implementation resolves differently, so only pair
                     // findings mark products.
                     if let Some((front, back)) = f.pair() {
-                        table.entry(front.to_string()).or_default().insert(AttackClass::Hot);
-                        table.entry(back.to_string()).or_default().insert(AttackClass::Hot);
+                        table.entry(front).or_default().insert(AttackClass::Hot);
+                        table.entry(back).or_default().insert(AttackClass::Hot);
                     }
                 }
                 AttackClass::Cpdos => {
                     if let Some(front) = &f.front {
                         if is_proxy(front) {
-                            table.entry(front.clone()).or_default().insert(AttackClass::Cpdos);
+                            table.entry(front).or_default().insert(AttackClass::Cpdos);
                         }
                     }
                     for c in &f.culprits {
                         if is_proxy(c) {
-                            table.entry(c.clone()).or_default().insert(AttackClass::Cpdos);
+                            table.entry(c).or_default().insert(AttackClass::Cpdos);
                         }
                     }
                 }
             }
         }
+        let table = table.into_iter().map(|(name, classes)| (name.to_string(), classes)).collect();
         Verdicts { table }
     }
 

@@ -67,10 +67,48 @@ fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Optio
     let Some(i) = args.iter().position(|a| a == flag) else {
         return Ok(None);
     };
-    let Some(raw) = args.get(i + 1) else {
+    let Some(raw) = args.get(i + 1).filter(|raw| !raw.starts_with("--")) else {
         return Err(format!("{flag} needs a value"));
     };
     raw.parse::<T>().map(Some).map_err(|_| format!("{flag}: invalid value {raw:?}"))
+}
+
+/// Flags every campaign command accepts that take a value.
+const CAMPAIGN_VALUE_FLAGS: &[&str] = &[
+    "--threads",
+    "--fault-rate",
+    "--transport",
+    "--frontend",
+    "--protocol",
+    "--shards",
+    "--fleet-chaos",
+    "--checkpoint-every",
+    "--trace-out",
+    "--summary-out",
+    "--fleet-dir",
+];
+
+/// Flags every campaign command accepts that take no value.
+const CAMPAIGN_SWITCHES: &[&str] = &["--quick", "--coverage-guided", "--no-telemetry"];
+
+/// Rejects a `--` flag that `args[0]` does not know: the campaign flags
+/// plus the command's own `values` (flags with a value) and `switches`.
+/// The token after a value flag is its value ([`flag_value`] has already
+/// refused one that looks like a flag).
+fn reject_unknown_flags(args: &[String], values: &[&str], switches: &[&str]) -> Result<(), String> {
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        let arg = arg.as_str();
+        if CAMPAIGN_VALUE_FLAGS.contains(&arg) || values.contains(&arg) {
+            rest.next();
+        } else if arg.starts_with("--")
+            && !CAMPAIGN_SWITCHES.contains(&arg)
+            && !switches.contains(&arg)
+        {
+            return Err(format!("hdiff {}: unknown flag {arg}", args[0]));
+        }
+    }
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -200,6 +238,30 @@ fn main() -> ExitCode {
         }
     };
     let sinks = TelemetrySinks { trace_out, summary_out, fleet_dir };
+
+    // The h2 and cookie campaigns and the fuzzer have no summary or trace
+    // writer yet: asking for one is an error, not a silently missing file.
+    let bespoke_workload = command == "fuzz"
+        || (command == "run"
+            && (config.frontend == hdiff::diff::Frontend::H2 || config.protocol != "http"));
+    for (flag, path) in [("--summary-out", &sinks.summary_out), ("--trace-out", &sinks.trace_out)] {
+        if bespoke_workload && path.is_some() {
+            eprintln!("{flag} is not supported for this workload yet");
+            return ExitCode::FAILURE;
+        }
+    }
+    let flags = match command {
+        "run" if bespoke_workload => {
+            reject_unknown_flags(&args, &["--promote-dir", "--min-classes"], &[])
+        }
+        "run" | "stats" => reject_unknown_flags(&args, &[], &[]),
+        "findings" => reject_unknown_flags(&args, &[], &["--csv"]),
+        _ => Ok(()),
+    };
+    if let Err(e) = flags {
+        eprintln!("{e}");
+        return ExitCode::FAILURE;
+    }
 
     match command {
         "worker" => run_worker_cli(&args),
